@@ -1,9 +1,9 @@
-// Real host wall-clock comparison of the two kernel backends (DESIGN.md
-// §13): the instrumented Cell-model backend (every vector op routed through
-// cell::Simd and counted — timing truth for the *simulated* figures) versus
-// the native host-SIMD backend (portable SSE2/NEON intrinsics — wall-clock
-// truth for the host).  Both produce byte-identical codestreams, which this
-// bench asserts on every configuration before reporting times.
+// Real host wall-clock comparison of the two instantiations of the SPE row
+// kernels (DESIGN.md §13): on the counting cell::Simd policy (every vector
+// op counted — timing truth for the *simulated* figures) versus on the
+// uncounted host policy (SSE2/NEON — wall-clock truth for the host).  Both
+// produce byte-identical codestreams, which this bench asserts on every
+// configuration before reporting times.
 //
 // Unlike every other bench in this directory, the headline number here is
 // HOST wall seconds, not simulated Cell seconds: the point is to measure
@@ -51,7 +51,8 @@ jp2k::CodingParams make_params(const Variant& v) {
   p.wavelet = v.wavelet;
   p.block_coder = v.coder;
   p.rate = v.rate;
-  if (v.rate > 0.0) p.layers = 2;
+  // HT codewords have no truncation points, so only EBCOT takes layers.
+  if (v.rate > 0.0 && v.coder == jp2k::BlockCoder::kEbcot) p.layers = 2;
   return p;
 }
 

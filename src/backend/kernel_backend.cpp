@@ -1,10 +1,8 @@
 #include "backend/kernel_backend.hpp"
 
-namespace cj2k::backend {
+#include "backend/native_simd.hpp"
 
-const KernelBackend& get(BackendKind kind) {
-  return kind == BackendKind::kNative ? native_simd() : cell_model();
-}
+namespace cj2k::backend {
 
 const char* to_string(BackendKind kind) {
   return kind == BackendKind::kNative ? "native" : "cell";
@@ -20,6 +18,16 @@ bool parse(std::string_view name, BackendKind& out) {
     return true;
   }
   return false;
+}
+
+const char* native_isa() {
+#if defined(CJ2K_NATIVE_ISA_SSE2)
+  return "sse2";
+#elif defined(CJ2K_NATIVE_ISA_NEON)
+  return "neon";
+#else
+  return "scalar";
+#endif
 }
 
 }  // namespace cj2k::backend

@@ -1,135 +1,44 @@
-// Kernel backend trait: every hot row kernel of the encode pipeline (MCT,
-// 5/3 and 9/7 lifting DWT, quantization, the T1 prescan primitives) behind
-// one virtual seam with two implementations.
+// Kernel backend selection.  Every SPE row kernel (cellenc/kernels.hpp) is
+// written once, as a template over a vector policy, and instantiated twice:
 //
-//  * CellModelBackend — the existing instrumented kernels from
-//    cellenc/kernels.* running against cell::Simd.  Every call performs the
-//    real arithmetic AND charges the SPE op counters, so the machine model's
-//    simulated seconds are unchanged: this backend stays the *timing truth*.
-//  * NativeSimdBackend — the same arithmetic lowered to host SIMD
-//    (SSE2/NEON with a scalar fallback, backend/native_simd.hpp).  It
-//    charges no counters; its purpose is *wall-clock truth* (a real measured
-//    encode, bench_native_wallclock) and a second, independently implemented
-//    oracle for byte identity.
+//  * cell::Simd — the counting Cell model.  Every op does the real 4-lane
+//    arithmetic AND charges the SPE's op counters, so this instantiation is
+//    the *timing truth* the simulated seconds come from.
+//  * backend::HostVec (native_simd.hpp) — the same method names lowered to
+//    SSE2/NEON, or to cell::Simd's lane loops uncounted elsewhere.  It
+//    charges nothing; under it the simulated seconds of the SIMD stages
+//    collapse and only the host wall clock is meaningful.
 //
-// Byte identity across backends is a hard invariant, pinned by the golden
-// vectors and tests/backend_diff_test.cpp.  It holds because (a) the integer
-// kernels are exact, and (b) the float kernels use the same operation
-// sequence and association order under the project-wide -ffp-contract=off
-// (root CMakeLists.txt): the Cell model's madd() is a separate multiply and
-// add, and the native backend deliberately lowers it to mul-then-add
-// intrinsics, never an IEEE-fused FMA.
-//
-// Methods taking a cell::Simd& execute inside SPE regions and are written
-// under the cellcheck SPE rules (no allocation, no vectors, no locks).  The
-// T1 prescan methods take no Simd handle: Tier-1 timing is a virtual-time
-// replay of symbol counts, not counter-driven, so those run as ordinary
-// host code on both backends.
+// A stage entry point (stage_mct*, stage_dwt*, stage_quant*) reads its
+// BackendKind once and runs the matching instantiation; nothing dispatches
+// per row.  Byte identity between the two is structural — one kernel body —
+// plus the lowering contract in native_simd.hpp; the golden vectors and the
+// serial jp2k encoder remain the oracle both are tested against.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string_view>
-
-#include "cell/simd.hpp"
-#include "common/span2d.hpp"
-#include "image/image.hpp"
 
 namespace cj2k::backend {
 
 enum class BackendKind {
-  kCellModel,  ///< Instrumented cell::Simd path (timing truth; default).
-  kNative,     ///< Host-SIMD path (wall-clock truth; no op counters).
+  kCellModel,  ///< Counting cell::Simd instantiation (timing truth; default).
+  kNative,     ///< HostVec instantiation (wall-clock truth; no op counters).
 };
 
-class KernelBackend {
- public:
-  virtual ~KernelBackend() = default;
+/// A backend is fully described by its kind; the name stays for callers
+/// that pass one to the stage entry points.
+using KernelBackend = BackendKind;
 
-  virtual BackendKind kind() const = 0;
-  /// Stable short name ("cell" / "native") for CLI flags and bench labels.
-  virtual const char* name() const = 0;
+constexpr KernelBackend cell_model() { return BackendKind::kCellModel; }
+constexpr KernelBackend get(BackendKind kind) { return kind; }
 
-  // --- Forward MCT rows -----------------------------------------------------
-  virtual void shift_rct_row(cell::Simd& s, Sample* r, Sample* g, Sample* b,
-                             std::size_t n, unsigned depth) const = 0;
-  virtual void shift_row(cell::Simd& s, Sample* x, std::size_t n,
-                         unsigned depth) const = 0;
-  virtual void shift_ict_row(cell::Simd& s, const Sample* r, const Sample* g,
-                             const Sample* b, float* y, float* cb, float* cr,
-                             std::size_t n, unsigned depth) const = 0;
-  virtual void shift_to_float_row(cell::Simd& s, const Sample* x, float* out,
-                                  std::size_t n, unsigned depth) const = 0;
-  virtual void shift_ict_fixed_row(cell::Simd& s, const Sample* r,
-                                   const Sample* g, const Sample* b,
-                                   Sample* y, Sample* cb, Sample* cr,
-                                   std::size_t n, unsigned depth) const = 0;
-  virtual void shift_to_fixed_row(cell::Simd& s, const Sample* x, Sample* out,
-                                  std::size_t n, unsigned depth) const = 0;
-
-  // --- DWT vertical lifting rows (across a column chunk) --------------------
-  virtual void predict53_row(cell::Simd& s, Sample* d, const Sample* a,
-                             const Sample* b, std::size_t n) const = 0;
-  virtual void update53_row(cell::Simd& s, Sample* d, const Sample* a,
-                            const Sample* b, std::size_t n) const = 0;
-  virtual void lift97_row(cell::Simd& s, float* x, const float* a,
-                          const float* b, float c, std::size_t n) const = 0;
-  virtual void scale_row(cell::Simd& s, float* x, float c,
-                         std::size_t n) const = 0;
-  virtual void lift97_fixed_row(cell::Simd& s, std::int32_t* x,
-                                const std::int32_t* a, const std::int32_t* b,
-                                std::int32_t c_q13, std::size_t n) const = 0;
-  virtual void scale_fixed_row(cell::Simd& s, Sample* x, Sample c_q13,
-                               std::size_t n) const = 0;
-
-  // --- DWT horizontal: one full in-LS row (deinterleave + lifting + scale) --
-  virtual void dwt53_h_row(cell::Simd& s, const Sample* in, Sample* even,
-                           Sample* odd, std::size_t n) const = 0;
-  virtual void dwt97_h_row(cell::Simd& s, const float* in, float* even,
-                           float* odd, std::size_t n) const = 0;
-  virtual void dwt97_fixed_h_row(cell::Simd& s, const Sample* in,
-                                 Sample* even, Sample* odd,
-                                 std::size_t n) const = 0;
-
-  // --- Quantization ---------------------------------------------------------
-  virtual void quant_row(cell::Simd& s, const float* in, Sample* out,
-                         std::size_t n, float inv_step) const = 0;
-  virtual void quant_fixed_row(cell::Simd& s, const Sample* in_q13,
-                               Sample* out, std::size_t n,
-                               std::int64_t inv_q16) const = 0;
-
-  // --- Local Store shuffles -------------------------------------------------
-  virtual void deinterleave_row(cell::Simd& s, const Sample* in, Sample* even,
-                                Sample* odd, std::size_t n) const = 0;
-  virtual void deinterleave_row(cell::Simd& s, const float* in, float* even,
-                                float* odd, std::size_t n) const = 0;
-  virtual void ls_copy(cell::Simd& s, void* dst, const void* src,
-                       std::size_t bytes) const = 0;
-
-  // --- T1 bit-plane prescan primitives (host-side; see header comment) ------
-  /// EBCOT prescan: fills `mag[y*coeffs.width()+x] = |coeffs(y,x)|`, ORs
-  /// `sign_flag` into `flags[y*flags_stride+x]` for negative samples (the
-  /// caller passes the (0,0) cell of its bordered flag plane), and returns
-  /// the maximum magnitude.
-  virtual std::uint32_t t1_mag_sign(Span2d<const Sample> coeffs,
-                                    std::uint32_t* mag, std::uint16_t* flags,
-                                    std::size_t flags_stride,
-                                    std::uint16_t sign_flag) const = 0;
-  /// HT prescan: maximum |coeff| over the block (drives num_bitplanes).
-  virtual std::uint32_t block_maxmag(Span2d<const Sample> coeffs) const = 0;
-};
-
-/// The two process-wide backend singletons.
-const KernelBackend& cell_model();
-const KernelBackend& native_simd();
-const KernelBackend& get(BackendKind kind);
-
+/// Stable short name ("cell" / "native") for CLI flags and bench labels.
 const char* to_string(BackendKind kind);
 /// Parses "cell" / "native"; returns false (out untouched) otherwise.
 bool parse(std::string_view name, BackendKind& out);
 
-/// Which instruction set the native backend was compiled against:
-/// "sse2", "neon", or "scalar".
+/// Which instruction set HostVec was compiled against: "sse2", "neon", or
+/// "scalar".
 const char* native_isa();
 
 }  // namespace cj2k::backend

@@ -1,7 +1,8 @@
-// Plain 4-lane vector value types shared by every kernel backend.  These
-// carry no instrumentation of their own — the instrumented cell::Simd layer
-// charges op counters around them, while the native backend lowers the same
-// lane math to host intrinsics.
+// Plain 4-lane vector value types of the SPE vector model.  They carry no
+// instrumentation of their own: cell::Simd computes on their lanes and
+// charges op counters around them.  The host SSE2/NEON policy
+// (backend::HostVec) uses native register types instead; the scalar host
+// fallback reuses these.
 #pragma once
 
 #include <cstdint>

@@ -181,7 +181,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
                                   const PipelineOptions& opt,
                                   HullCapture* hulls) {
   const DwtOptions& dwt = opt.dwt;
-  const backend::KernelBackend& bk = backend::get(opt.backend);
+  const backend::BackendKind bk = opt.backend;
   TileFrontResult res;
   const std::size_t w = img.width();
   const std::size_t h = img.height();
@@ -323,7 +323,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
   // the T1 span — the fused schedule accounts for it). -----------------------
   const T1StageResult t1 =
       stage_t1(machine, tile, coeff_views, opt.t1_dist, params.t1, hulls,
-               params.block_coder, bk);
+               params.block_coder);
   res.stages.push_back(t1.timing);
   res.t1_symbols = t1.total_symbols;
   res.hull_extra_seconds = t1.hull_extra_seconds;
@@ -334,6 +334,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
 PipelineResult CellEncoder::encode(const Image& img,
                                    const jp2k::CodingParams& params,
                                    const PipelineOptions& opt) {
+  jp2k::validate(img, params);
   Timer wall;
   const jp2k::TileGrid grid = jp2k::TileGrid::plan(
       img.width(), img.height(), params.tiles_x, params.tiles_y);

@@ -48,11 +48,11 @@ struct PipelineOptions {
   /// empty means index order).  The codestream is byte-identical for any
   /// permutation — assembly and rate allocation use tile-index order.
   std::vector<std::size_t> tile_order;
-  /// Kernel backend for the stage kernels (DESIGN.md §13): the instrumented
-  /// Cell-model backend (timing truth, the default) or the native host-SIMD
-  /// backend (wall-clock truth).  The codestream is byte-identical either
-  /// way; under the native backend no SPE ops are charged, so simulated
-  /// seconds collapse — read wall_seconds / the "wall.seconds" metric.
+  /// Vector policy the stage kernels are instantiated on (DESIGN.md §13):
+  /// the counting cell::Simd (timing truth, the default) or the uncounted
+  /// host HostVec (wall-clock truth).  The codestream is byte-identical
+  /// either way; under the native backend no SPE ops are charged, so
+  /// simulated seconds collapse — read wall_seconds / "wall.seconds".
   cj2k::backend::BackendKind backend =
       cj2k::backend::BackendKind::kCellModel;
   /// Event-level tracing (DESIGN.md §11): when enabled, the run records

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "backend/native_simd.hpp"
 #include "cellenc/kernels.hpp"
 #include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
@@ -34,11 +35,11 @@ constexpr std::uint64_t kPpeLiftOpsPerSample = 5;
 /// Merged vertical 5/3 on one SPE's column group: Local Store ring of K
 /// rows, one DMA get per input row, low rows written in place, high rows
 /// parked in `aux` and copied back at the end.
-void spe_vertical53_merged(cell::SpeContext& ctx,
-                           const backend::KernelBackend& bk,
-                           Span2d<Sample> plane, std::size_t x0,
-                           std::size_t cw, std::size_t hh,
+template <class V>
+void spe_vertical53_merged(cell::SpeContext& ctx, Span2d<Sample> plane,
+                           std::size_t x0, std::size_t cw, std::size_t hh,
                            Span2d<Sample> aux) {
+  V s = vec_policy<V>(ctx);
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
   if (n < 2) return;
   constexpr std::size_t K = 6;
@@ -85,11 +86,11 @@ void spe_vertical53_merged(cell::SpeContext& ctx,
     if (f < n) {
       ctx.dma.touch(slot(f + 1), cw * sizeof(Sample));
       ctx.dma.touch(slot(f), cw * sizeof(Sample));
-      bk.predict53_row(ctx.simd, slot(f), slot(f - 1), slot(f + 1), cw);
+      simd_predict53_row(s, slot(f), slot(f - 1), slot(f + 1), cw);
     }
     if (f - 1 < n) {
       ctx.dma.touch(slot(f - 1), cw * sizeof(Sample));
-      bk.update53_row(ctx.simd, slot(f - 1), slot(f - 2), slot(f), cw);
+      simd_update53_row(s, slot(f - 1), slot(f - 2), slot(f), cw);
     }
     if (f - 2 >= 1 && f - 2 < n) {  // park finalized high row
       dma_put_row_tagged(ctx.dma, slot(f - 2),
@@ -119,11 +120,11 @@ void spe_vertical53_merged(cell::SpeContext& ctx,
 
 /// Naive multipass vertical 5/3 (ablation A): predict sweep, update sweep,
 /// split sweep — each streams the whole group through the Local Store.
-void spe_vertical53_multipass(cell::SpeContext& ctx,
-                              const backend::KernelBackend& bk,
-                              Span2d<Sample> plane, std::size_t x0,
-                              std::size_t cw, std::size_t hh,
+template <class V>
+void spe_vertical53_multipass(cell::SpeContext& ctx, Span2d<Sample> plane,
+                              std::size_t x0, std::size_t cw, std::size_t hh,
                               Span2d<Sample> aux) {
+  V s = vec_policy<V>(ctx);
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
   if (n < 2) return;
   constexpr std::size_t K = 4;
@@ -168,11 +169,11 @@ void spe_vertical53_multipass(cell::SpeContext& ctx,
   };
   // Pass 1: predict (write odd rows).
   sweep53(1, [&](std::ptrdiff_t i) {
-    bk.predict53_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), cw);
+    simd_predict53_row(s, slot(i), slot(i - 1), slot(i + 1), cw);
   });
   // Pass 2: update (write even rows).
   sweep53(0, [&](std::ptrdiff_t i) {
-    bk.update53_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), cw);
+    simd_update53_row(s, slot(i), slot(i - 1), slot(i + 1), cw);
   });
   // Pass 3: split — low rows compact in place, high rows via aux.  The
   // compaction writes row i/2 after row i/2 was read, so each get is
@@ -205,11 +206,11 @@ void spe_vertical53_multipass(cell::SpeContext& ctx,
 
 /// Merged vertical 9/7: four lifting stages + scaling + emission fused into
 /// one streaming sweep (Kutil-style single loop, K-row Local Store ring).
-void spe_vertical97_merged(cell::SpeContext& ctx,
-                           const backend::KernelBackend& bk,
-                           Span2d<float> plane, std::size_t x0,
-                           std::size_t cw, std::size_t hh,
+template <class V>
+void spe_vertical97_merged(cell::SpeContext& ctx, Span2d<float> plane,
+                           std::size_t x0, std::size_t cw, std::size_t hh,
                            Span2d<float> aux) {
+  V s = vec_policy<V>(ctx);
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
   if (n < 2) return;
   constexpr std::size_t K = 10;
@@ -249,12 +250,12 @@ void spe_vertical97_merged(cell::SpeContext& ctx,
     if (i < parity || i >= n || ((i ^ parity) & 1)) return;
     ctx.dma.touch(slot(i + 1), cw * sizeof(float));
     ctx.dma.touch(slot(i), cw * sizeof(float));
-    bk.lift97_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), c, cw);
+    simd_lift97_row(s, slot(i), slot(i - 1), slot(i + 1), c, cw);
   };
   const auto scale = [&](std::ptrdiff_t i) {
     if (i < 0 || i >= n) return;
     ctx.dma.touch(slot(i), cw * sizeof(float));
-    bk.scale_row(ctx.simd, slot(i),
+    simd_scale_row(s, slot(i),
                    (i & 1) ? jp2k::dwt97::kK : 1.0f / jp2k::dwt97::kK, cw);
   };
 
@@ -293,11 +294,11 @@ void spe_vertical97_merged(cell::SpeContext& ctx,
 }
 
 /// Naive multipass vertical 9/7 (six sweeps).
-void spe_vertical97_multipass(cell::SpeContext& ctx,
-                              const backend::KernelBackend& bk,
-                              Span2d<float> plane, std::size_t x0,
-                              std::size_t cw, std::size_t hh,
+template <class V>
+void spe_vertical97_multipass(cell::SpeContext& ctx, Span2d<float> plane,
+                              std::size_t x0, std::size_t cw, std::size_t hh,
                               Span2d<float> aux) {
+  V s = vec_policy<V>(ctx);
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
   if (n < 2) return;
   constexpr std::size_t K = 4;
@@ -334,7 +335,7 @@ void spe_vertical97_multipass(cell::SpeContext& ctx,
       if (mask != 0) ctx.dma.wait_tag_mask(mask);
       ctx.dma.touch(slot(i + 1), cw * sizeof(float));
       ctx.dma.touch(slot(i), cw * sizeof(float));
-      bk.lift97_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), c, cw);
+      simd_lift97_row(s, slot(i), slot(i - 1), slot(i + 1), c, cw);
       dma_put_row_tagged(ctx.dma, slot(i),
                          plane.row(static_cast<std::size_t>(i)) + x0, cw,
                          tag_of(i));
@@ -360,7 +361,7 @@ void spe_vertical97_multipass(cell::SpeContext& ctx,
       }
       ctx.dma.wait_tag(cur);
       ctx.dma.touch(buf[cur], cw * sizeof(float));
-      bk.scale_row(ctx.simd, buf[cur],
+      simd_scale_row(s, buf[cur],
                      (i & 1) ? jp2k::dwt97::kK : 1.0f / jp2k::dwt97::kK, cw);
       dma_put_row_tagged(ctx.dma, buf[cur], plane.row(i) + x0, cw, cur);
     }
@@ -394,11 +395,11 @@ void spe_vertical97_multipass(cell::SpeContext& ctx,
 
 /// Merged vertical 9/7 in Q13 fixed point — same schedule as the float
 /// kernel, emulated-multiply lifting steps.
-void spe_vertical97_fixed_merged(cell::SpeContext& ctx,
-                                 const backend::KernelBackend& bk,
-                                 Span2d<Sample> plane, std::size_t x0,
-                                 std::size_t cw, std::size_t hh,
+template <class V>
+void spe_vertical97_fixed_merged(cell::SpeContext& ctx, Span2d<Sample> plane,
+                                 std::size_t x0, std::size_t cw, std::size_t hh,
                                  Span2d<Sample> aux) {
+  V s = vec_policy<V>(ctx);
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(hh);
   if (n < 2) return;
   constexpr std::size_t K = 10;
@@ -438,15 +439,13 @@ void spe_vertical97_fixed_merged(cell::SpeContext& ctx,
     if (i < parity || i >= n || ((i ^ parity) & 1)) return;
     ctx.dma.touch(slot(i + 1), cw * sizeof(Sample));
     ctx.dma.touch(slot(i), cw * sizeof(Sample));
-    bk.lift97_fixed_row(ctx.simd, slot(i), slot(i - 1), slot(i + 1), c_q13,
-                          cw);
+    simd_lift97_fixed_row(s, slot(i), slot(i - 1), slot(i + 1), c_q13, cw);
   };
   const auto scale = [&](std::ptrdiff_t i) {
     if (i < 0 || i >= n) return;
     ctx.dma.touch(slot(i), cw * sizeof(Sample));
-    bk.scale_fixed_row(
-        ctx.simd, slot(i),
-        (i & 1) ? jp2k::dwt97::kFxK : jp2k::dwt97::kFxInvK, cw);
+    simd_scale_fixed_row(
+        s, slot(i), (i & 1) ? jp2k::dwt97::kFxK : jp2k::dwt97::kFxInvK, cw);
   };
 
   const std::size_t nl = (hh + 1) / 2;
@@ -482,15 +481,9 @@ void spe_vertical97_fixed_merged(cell::SpeContext& ctx,
   ctx.ls.reset();
 }
 
-// ===========================================================================
-// Horizontal filtering
-// ===========================================================================
-
-}  // namespace
-
-cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
-                              int levels, const DwtOptions& opt,
-                              const backend::KernelBackend& bk) {
+template <class V>
+cell::StageTiming dwt53(cell::Machine& m, Span2d<Sample> plane, int levels,
+                        const DwtOptions& opt) {
   cell::StageTiming total;
   total.name = "dwt53";
   std::size_t ww = plane.width();
@@ -514,9 +507,9 @@ cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
            g += static_cast<std::size_t>(std::max(1, m.num_spes()))) {
         const auto& ch = plan.spe_chunks[g];
         if (opt.merged_vertical) {
-          spe_vertical53_merged(ctx, bk, plane, ch.x0, ch.width, hh, aux);
+          spe_vertical53_merged<V>(ctx, plane, ch.x0, ch.width, hh, aux);
         } else {
-          spe_vertical53_multipass(ctx, bk, plane, ch.x0, ch.width, hh, aux);
+          spe_vertical53_multipass<V>(ctx, plane, ch.x0, ch.width, hh, aux);
         }
       }
     };
@@ -538,6 +531,7 @@ cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
       auto hwork = [&](int i, cell::SpeContext& ctx) {
         if (static_cast<std::size_t>(i) >= rows.size()) return;
         const auto [start, count] = rows[static_cast<std::size_t>(i)];
+        V s = vec_policy<V>(ctx);
         const std::size_t pad = round_up(ww, 32);
         // Whole-cache-line transfers; lin[ww..tw) is fetched, left
         // untouched, and written back, so neighbouring coefficients in the
@@ -561,14 +555,13 @@ cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
           }
           ctx.dma.wait_tag(cur);
           ctx.dma.touch(lin[cur], tw * sizeof(Sample));
-          bk.dwt53_h_row(ctx.simd, lin[cur], even, odd, ww);
+          simd_dwt53_h_row(s, lin[cur], even, odd, ww);
           // Reassemble L|H contiguously so the row goes back in one
           // aligned DMA (writing the H half alone would start at an
           // arbitrary offset and violate the MFC alignment rules).
-          bk.ls_copy(ctx.simd, lin[cur], even, nl * sizeof(Sample));
+          s.ls_copy(lin[cur], even, nl * sizeof(Sample));
           if (ww > nl) {
-            bk.ls_copy(ctx.simd, lin[cur] + nl, odd,
-                    (ww - nl) * sizeof(Sample));
+            s.ls_copy(lin[cur] + nl, odd, (ww - nl) * sizeof(Sample));
           }
           dma_put_row_tagged(ctx.dma, lin[cur], plane.row(y), tw, cur);
         }
@@ -595,9 +588,9 @@ cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
   return total;
 }
 
-cell::StageTiming stage_dwt97(cell::Machine& m, Span2d<float> plane,
-                              int levels, const DwtOptions& opt,
-                              const backend::KernelBackend& bk) {
+template <class V>
+cell::StageTiming dwt97(cell::Machine& m, Span2d<float> plane, int levels,
+                        const DwtOptions& opt) {
   cell::StageTiming total;
   total.name = "dwt97";
   std::size_t ww = plane.width();
@@ -620,9 +613,9 @@ cell::StageTiming stage_dwt97(cell::Machine& m, Span2d<float> plane,
            g += static_cast<std::size_t>(std::max(1, m.num_spes()))) {
         const auto& ch = plan.spe_chunks[g];
         if (opt.merged_vertical) {
-          spe_vertical97_merged(ctx, bk, plane, ch.x0, ch.width, hh, aux);
+          spe_vertical97_merged<V>(ctx, plane, ch.x0, ch.width, hh, aux);
         } else {
-          spe_vertical97_multipass(ctx, bk, plane, ch.x0, ch.width, hh, aux);
+          spe_vertical97_multipass<V>(ctx, plane, ch.x0, ch.width, hh, aux);
         }
       }
     };
@@ -643,6 +636,7 @@ cell::StageTiming stage_dwt97(cell::Machine& m, Span2d<float> plane,
       auto hwork = [&](int i, cell::SpeContext& ctx) {
         if (static_cast<std::size_t>(i) >= rows.size()) return;
         const auto [start, count] = rows[static_cast<std::size_t>(i)];
+        V s = vec_policy<V>(ctx);
         const std::size_t pad = round_up(ww, 32);
         // Whole-cache-line transfers, fenced ping/pong (see the 5/3
         // kernel above).
@@ -661,10 +655,10 @@ cell::StageTiming stage_dwt97(cell::Machine& m, Span2d<float> plane,
           }
           ctx.dma.wait_tag(cur);
           ctx.dma.touch(lin[cur], tw * sizeof(float));
-          bk.dwt97_h_row(ctx.simd, lin[cur], even, odd, ww);
-          bk.ls_copy(ctx.simd, lin[cur], even, nl * sizeof(float));
+          simd_dwt97_h_row(s, lin[cur], even, odd, ww);
+          s.ls_copy(lin[cur], even, nl * sizeof(float));
           if (ww > nl) {
-            bk.ls_copy(ctx.simd, lin[cur] + nl, odd, (ww - nl) * sizeof(float));
+            s.ls_copy(lin[cur] + nl, odd, (ww - nl) * sizeof(float));
           }
           dma_put_row_tagged(ctx.dma, lin[cur], plane.row(y), tw, cur);
         }
@@ -691,9 +685,9 @@ cell::StageTiming stage_dwt97(cell::Machine& m, Span2d<float> plane,
   return total;
 }
 
-cell::StageTiming stage_dwt97_fixed(cell::Machine& m, Span2d<Sample> plane,
-                                    int levels, const DwtOptions& opt,
-                                    const backend::KernelBackend& bk) {
+template <class V>
+cell::StageTiming dwt97_fixed(cell::Machine& m, Span2d<Sample> plane,
+                              int levels, const DwtOptions& opt) {
   cell::StageTiming total;
   total.name = "dwt97fx";
   std::size_t ww = plane.width();
@@ -715,7 +709,7 @@ cell::StageTiming stage_dwt97_fixed(cell::Machine& m, Span2d<Sample> plane,
            g < plan.spe_chunks.size();
            g += static_cast<std::size_t>(std::max(1, m.num_spes()))) {
         const auto& ch = plan.spe_chunks[g];
-        spe_vertical97_fixed_merged(ctx, bk, plane, ch.x0, ch.width, hh, aux);
+        spe_vertical97_fixed_merged<V>(ctx, plane, ch.x0, ch.width, hh, aux);
       }
     };
     auto vppe = [&](cell::OpCounters& c) {
@@ -739,6 +733,7 @@ cell::StageTiming stage_dwt97_fixed(cell::Machine& m, Span2d<Sample> plane,
       auto hwork = [&](int i, cell::SpeContext& ctx) {
         if (static_cast<std::size_t>(i) >= rows.size()) return;
         const auto [start, count] = rows[static_cast<std::size_t>(i)];
+        V s = vec_policy<V>(ctx);
         const std::size_t pad = round_up(ww, 32);
         // Whole-cache-line transfers, fenced ping/pong (see the 5/3
         // kernel above).
@@ -758,11 +753,10 @@ cell::StageTiming stage_dwt97_fixed(cell::Machine& m, Span2d<Sample> plane,
           }
           ctx.dma.wait_tag(cur);
           ctx.dma.touch(lin[cur], tw * sizeof(Sample));
-          bk.dwt97_fixed_h_row(ctx.simd, lin[cur], even, odd, ww);
-          bk.ls_copy(ctx.simd, lin[cur], even, nl * sizeof(Sample));
+          simd_dwt97_fixed_h_row(s, lin[cur], even, odd, ww);
+          s.ls_copy(lin[cur], even, nl * sizeof(Sample));
           if (ww > nl) {
-            bk.ls_copy(ctx.simd, lin[cur] + nl, odd,
-                    (ww - nl) * sizeof(Sample));
+            s.ls_copy(lin[cur] + nl, odd, (ww - nl) * sizeof(Sample));
           }
           dma_put_row_tagged(ctx.dma, lin[cur], plane.row(y), tw, cur);
         }
@@ -788,6 +782,32 @@ cell::StageTiming stage_dwt97_fixed(cell::Machine& m, Span2d<Sample> plane,
     hh = (hh + 1) / 2;
   }
   return total;
+}
+
+}  // namespace
+
+cell::StageTiming stage_dwt53(cell::Machine& m, Span2d<Sample> plane,
+                              int levels, const DwtOptions& opt,
+                              backend::BackendKind bk) {
+  return bk == backend::BackendKind::kNative
+             ? dwt53<backend::HostVec>(m, plane, levels, opt)
+             : dwt53<cell::Simd>(m, plane, levels, opt);
+}
+
+cell::StageTiming stage_dwt97(cell::Machine& m, Span2d<float> plane,
+                              int levels, const DwtOptions& opt,
+                              backend::BackendKind bk) {
+  return bk == backend::BackendKind::kNative
+             ? dwt97<backend::HostVec>(m, plane, levels, opt)
+             : dwt97<cell::Simd>(m, plane, levels, opt);
+}
+
+cell::StageTiming stage_dwt97_fixed(cell::Machine& m, Span2d<Sample> plane,
+                                    int levels, const DwtOptions& opt,
+                                    backend::BackendKind bk) {
+  return bk == backend::BackendKind::kNative
+             ? dwt97_fixed<backend::HostVec>(m, plane, levels, opt)
+             : dwt97_fixed<cell::Simd>(m, plane, levels, opt);
 }
 
 }  // namespace cj2k::cellenc

@@ -28,13 +28,13 @@ struct DwtOptions {
 cell::StageTiming stage_dwt53(
     cell::Machine& m, Span2d<Sample> plane, int levels,
     const DwtOptions& opt = {},
-    const backend::KernelBackend& bk = backend::cell_model());
+    backend::BackendKind bk = backend::BackendKind::kCellModel);
 
 /// In-place multilevel 9/7 (float).
 cell::StageTiming stage_dwt97(
     cell::Machine& m, Span2d<float> plane, int levels,
     const DwtOptions& opt = {},
-    const backend::KernelBackend& bk = backend::cell_model());
+    backend::BackendKind bk = backend::BackendKind::kCellModel);
 
 /// In-place multilevel 9/7 in Q13 fixed point — the arithmetic the paper
 /// replaces with float on the SPE (§4).  Always uses the merged vertical
@@ -42,6 +42,6 @@ cell::StageTiming stage_dwt97(
 cell::StageTiming stage_dwt97_fixed(
     cell::Machine& m, Span2d<Sample> plane, int levels,
     const DwtOptions& opt = {},
-    const backend::KernelBackend& bk = backend::cell_model());
+    backend::BackendKind bk = backend::BackendKind::kCellModel);
 
 }  // namespace cj2k::cellenc

@@ -1,5 +1,6 @@
 #include "cellenc/stage_mct.hpp"
 
+#include "backend/native_simd.hpp"
 #include "cellenc/kernels.hpp"
 #include "common/error.hpp"
 #include "decomp/chunk.hpp"
@@ -15,12 +16,9 @@ constexpr std::uint64_t kPpeShiftRctOps = 12;
 constexpr std::uint64_t kPpeShiftOps = 4;
 constexpr std::uint64_t kPpeShiftIctOps = 22;
 
-}  // namespace
-
-cell::StageTiming stage_mct_lossless(cell::Machine& m,
-                                     std::vector<Plane>& planes, bool color,
-                                     unsigned depth,
-                                     const backend::KernelBackend& bk) {
+template <class V>
+cell::StageTiming mct_lossless(cell::Machine& m, std::vector<Plane>& planes,
+                               bool color, unsigned depth) {
   CJ2K_CHECK(!planes.empty());
   const std::size_t w = planes[0].width();
   const std::size_t h = planes[0].height();
@@ -31,6 +29,7 @@ cell::StageTiming stage_mct_lossless(cell::Machine& m,
     if (static_cast<std::size_t>(i) >= plan.spe_chunks.size()) return;
     const auto& ch = plan.spe_chunks[static_cast<std::size_t>(i)];
     const std::size_t cw = ch.width;
+    V s = vec_policy<V>(ctx);
     // Constant Local Store footprint: a ping/pong row pair per component.
     // The transform is in place (same row is get target and put source), so
     // the prefetch of row y+1 is fenced: it re-targets a buffer whose
@@ -59,7 +58,7 @@ cell::StageTiming stage_mct_lossless(cell::Machine& m,
         ctx.dma.touch(lr[cur], cw * sizeof(Sample));
         ctx.dma.touch(lg[cur], cw * sizeof(Sample));
         ctx.dma.touch(lb[cur], cw * sizeof(Sample));
-        bk.shift_rct_row(ctx.simd, lr[cur], lg[cur], lb[cur], cw, depth);
+        simd_shift_rct_row(s, lr[cur], lg[cur], lb[cur], cw, depth);
         dma_put_row_tagged(ctx.dma, lr[cur], planes[0].row(y) + ch.x0, cw,
                            cur);
         dma_put_row_tagged(ctx.dma, lg[cur], planes[1].row(y) + ch.x0, cw,
@@ -73,7 +72,7 @@ cell::StageTiming stage_mct_lossless(cell::Machine& m,
           dma_getf_row_tagged(ctx.dma, lx, planes[c].row(y) + ch.x0, cw, 2);
           ctx.dma.wait_tag(2);
           ctx.dma.touch(lx, cw * sizeof(Sample));
-          bk.shift_row(ctx.simd, lx, cw, depth);
+          simd_shift_row(s, lx, cw, depth);
           dma_put_row_tagged(ctx.dma, lx, planes[c].row(y) + ch.x0, cw, 2);
         }
       }
@@ -94,7 +93,7 @@ cell::StageTiming stage_mct_lossless(cell::Machine& m,
         }
         ctx.dma.wait_tag(cur);
         ctx.dma.touch(lr[cur], cw * sizeof(Sample));
-        bk.shift_row(ctx.simd, lr[cur], cw, depth);
+        simd_shift_row(s, lr[cur], cw, depth);
         dma_put_row_tagged(ctx.dma, lr[cur], src(k), cw, cur);
       }
     }
@@ -128,12 +127,10 @@ cell::StageTiming stage_mct_lossless(cell::Machine& m,
   return m.run_data_parallel("levelshift+mct", spe_work, ppe_work);
 }
 
-cell::StageTiming stage_mct_lossy(cell::Machine& m,
-                                  const std::vector<Plane>& planes,
-                                  std::vector<AlignedBuffer<float>>& fplanes,
-                                  std::size_t stride, bool color,
-                                  unsigned depth,
-                                  const backend::KernelBackend& bk) {
+template <class V>
+cell::StageTiming mct_lossy(cell::Machine& m, const std::vector<Plane>& planes,
+                            std::vector<AlignedBuffer<float>>& fplanes,
+                            std::size_t stride, bool color, unsigned depth) {
   const std::size_t w = planes[0].width();
   const std::size_t h = planes[0].height();
   const std::size_t ncomp = planes.size();
@@ -144,6 +141,7 @@ cell::StageTiming stage_mct_lossy(cell::Machine& m,
     if (static_cast<std::size_t>(i) >= plan.spe_chunks.size()) return;
     const auto& ch = plan.spe_chunks[static_cast<std::size_t>(i)];
     const std::size_t cw = ch.width;
+    V s = vec_policy<V>(ctx);
     // Ping/pong on tags 0/1.  Unlike the lossless kernel the inputs (l*)
     // and outputs (f*) are distinct buffers, so the prefetched gets never
     // re-target a buffer with a put in flight and can stay unfenced.
@@ -177,7 +175,7 @@ cell::StageTiming stage_mct_lossy(cell::Machine& m,
         ctx.dma.touch(fy[cur], cw * sizeof(float));
         ctx.dma.touch(fcb[cur], cw * sizeof(float));
         ctx.dma.touch(fcr[cur], cw * sizeof(float));
-        bk.shift_ict_row(ctx.simd, lr[cur], lg[cur], lb[cur], fy[cur],
+        simd_shift_ict_row(s, lr[cur], lg[cur], lb[cur], fy[cur],
                            fcb[cur], fcr[cur], cw, depth);
         dma_put_row_tagged(ctx.dma, fy[cur], &fplanes[0][y * stride + ch.x0],
                            cw, cur);
@@ -190,7 +188,7 @@ cell::StageTiming stage_mct_lossy(cell::Machine& m,
           ctx.dma.wait_tag(2);
           ctx.dma.touch(lx, cw * sizeof(Sample));
           ctx.dma.touch(fx, cw * sizeof(float));
-          bk.shift_to_float_row(ctx.simd, lx, fx, cw, depth);
+          simd_shift_to_float_row(s, lx, fx, cw, depth);
           dma_put_row_tagged(ctx.dma, fx, &fplanes[c][y * stride + ch.x0],
                              cw, 2);
         }
@@ -215,7 +213,7 @@ cell::StageTiming stage_mct_lossy(cell::Machine& m,
         ctx.dma.wait_tag(cur);
         ctx.dma.touch(lr[cur], cw * sizeof(Sample));
         ctx.dma.touch(fy[cur], cw * sizeof(float));
-        bk.shift_to_float_row(ctx.simd, lr[cur], fy[cur], cw, depth);
+        simd_shift_to_float_row(s, lr[cur], fy[cur], cw, depth);
         dma_put_row_tagged(ctx.dma, fy[cur], dst(k), cw, cur);
       }
     }
@@ -259,11 +257,11 @@ cell::StageTiming stage_mct_lossy(cell::Machine& m,
   return m.run_data_parallel("levelshift+ict", spe_work, ppe_work);
 }
 
-cell::StageTiming stage_mct_lossy_fixed(cell::Machine& m,
-                                        const std::vector<Plane>& planes,
-                                        std::vector<Plane>& fxplanes,
-                                        bool color, unsigned depth,
-                                        const backend::KernelBackend& bk) {
+template <class V>
+cell::StageTiming mct_lossy_fixed(cell::Machine& m,
+                                  const std::vector<Plane>& planes,
+                                  std::vector<Plane>& fxplanes, bool color,
+                                  unsigned depth) {
   const std::size_t w = planes[0].width();
   const std::size_t h = planes[0].height();
   const std::size_t ncomp = planes.size();
@@ -274,6 +272,7 @@ cell::StageTiming stage_mct_lossy_fixed(cell::Machine& m,
     if (static_cast<std::size_t>(i) >= plan.spe_chunks.size()) return;
     const auto& ch = plan.spe_chunks[static_cast<std::size_t>(i)];
     const std::size_t cw = ch.width;
+    V s = vec_policy<V>(ctx);
     // Ping/pong on tags 0/1 with distinct in/out buffers — unfenced tagged
     // gets, as in the float lossy kernel.
     if (color) {
@@ -306,7 +305,7 @@ cell::StageTiming stage_mct_lossy_fixed(cell::Machine& m,
         ctx.dma.touch(fy[cur], cw * sizeof(Sample));
         ctx.dma.touch(fcb[cur], cw * sizeof(Sample));
         ctx.dma.touch(fcr[cur], cw * sizeof(Sample));
-        bk.shift_ict_fixed_row(ctx.simd, lr[cur], lg[cur], lb[cur],
+        simd_shift_ict_fixed_row(s, lr[cur], lg[cur], lb[cur],
                                  fy[cur], fcb[cur], fcr[cur], cw, depth);
         dma_put_row_tagged(ctx.dma, fy[cur], fxplanes[0].row(y) + ch.x0, cw,
                            cur);
@@ -319,7 +318,7 @@ cell::StageTiming stage_mct_lossy_fixed(cell::Machine& m,
           ctx.dma.wait_tag(2);
           ctx.dma.touch(lx, cw * sizeof(Sample));
           ctx.dma.touch(fx, cw * sizeof(Sample));
-          bk.shift_to_fixed_row(ctx.simd, lx, fx, cw, depth);
+          simd_shift_to_fixed_row(s, lx, fx, cw, depth);
           dma_put_row_tagged(ctx.dma, fx, fxplanes[c].row(y) + ch.x0, cw, 2);
         }
       }
@@ -343,7 +342,7 @@ cell::StageTiming stage_mct_lossy_fixed(cell::Machine& m,
         ctx.dma.wait_tag(cur);
         ctx.dma.touch(lr[cur], cw * sizeof(Sample));
         ctx.dma.touch(fy[cur], cw * sizeof(Sample));
-        bk.shift_to_fixed_row(ctx.simd, lr[cur], fy[cur], cw, depth);
+        simd_shift_to_fixed_row(s, lr[cur], fy[cur], cw, depth);
         dma_put_row_tagged(ctx.dma, fy[cur], dst(k), cw, cur);
       }
     }
@@ -380,6 +379,38 @@ cell::StageTiming stage_mct_lossy_fixed(cell::Machine& m,
   };
 
   return m.run_data_parallel("levelshift+ict(fx)", spe_work, ppe_work);
+}
+
+}  // namespace
+
+cell::StageTiming stage_mct_lossless(cell::Machine& m,
+                                     std::vector<Plane>& planes, bool color,
+                                     unsigned depth, backend::BackendKind bk) {
+  return bk == backend::BackendKind::kNative
+             ? mct_lossless<backend::HostVec>(m, planes, color, depth)
+             : mct_lossless<cell::Simd>(m, planes, color, depth);
+}
+
+cell::StageTiming stage_mct_lossy(cell::Machine& m,
+                                  const std::vector<Plane>& planes,
+                                  std::vector<AlignedBuffer<float>>& fplanes,
+                                  std::size_t stride, bool color,
+                                  unsigned depth, backend::BackendKind bk) {
+  return bk == backend::BackendKind::kNative
+             ? mct_lossy<backend::HostVec>(m, planes, fplanes, stride, color,
+                                           depth)
+             : mct_lossy<cell::Simd>(m, planes, fplanes, stride, color, depth);
+}
+
+cell::StageTiming stage_mct_lossy_fixed(cell::Machine& m,
+                                        const std::vector<Plane>& planes,
+                                        std::vector<Plane>& fxplanes,
+                                        bool color, unsigned depth,
+                                        backend::BackendKind bk) {
+  return bk == backend::BackendKind::kNative
+             ? mct_lossy_fixed<backend::HostVec>(m, planes, fxplanes, color,
+                                                 depth)
+             : mct_lossy_fixed<cell::Simd>(m, planes, fxplanes, color, depth);
 }
 
 }  // namespace cj2k::cellenc

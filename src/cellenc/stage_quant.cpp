@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "backend/native_simd.hpp"
 #include "cellenc/kernels.hpp"
 #include "common/error.hpp"
 #include "decomp/chunk.hpp"
@@ -38,12 +39,9 @@ std::vector<Segment> segments_for_row(const jp2k::TileComponent& tc,
 
 constexpr std::uint64_t kPpeQuantOpsPerSample = 7;
 
-}  // namespace
-
-cell::StageTiming stage_quant(cell::Machine& m, Span2d<const float> fplane,
-                              Span2d<Sample> qplane,
-                              const jp2k::TileComponent& tc,
-                              const backend::KernelBackend& bk) {
+template <class V>
+cell::StageTiming quant(cell::Machine& m, Span2d<const float> fplane,
+                        Span2d<Sample> qplane, const jp2k::TileComponent& tc) {
   const std::size_t w = fplane.width();
   const std::size_t h = fplane.height();
   CJ2K_CHECK(qplane.width() == w && qplane.height() == h);
@@ -57,6 +55,7 @@ cell::StageTiming stage_quant(cell::Machine& m, Span2d<const float> fplane,
       return;
     }
     const auto [start, count] = rows[static_cast<std::size_t>(i)];
+    V s = vec_policy<V>(ctx);
     const std::size_t pad = round_up(w, 32);
     // Whole-cache-line transfers; the fetched fplane tail is ignored and
     // qout[w..tw) writes zeros, matching the qplane's zero-initialized
@@ -84,7 +83,7 @@ cell::StageTiming stage_quant(cell::Machine& m, Span2d<const float> fplane,
       ctx.dma.touch(fin[cur], tw * sizeof(float));
       ctx.dma.touch(qout[cur], tw * sizeof(Sample));
       for (const auto& seg : segments_for_row(tc, y)) {
-        bk.quant_row(ctx.simd, fin[cur] + seg.x0, qout[cur] + seg.x0,
+        simd_quant_row(s, fin[cur] + seg.x0, qout[cur] + seg.x0,
                        seg.width, seg.inv_step);
       }
       dma_put_row_tagged(ctx.dma, qout[cur], qplane.row(y), tw, cur);
@@ -107,11 +106,10 @@ cell::StageTiming stage_quant(cell::Machine& m, Span2d<const float> fplane,
   return m.run_data_parallel("quantize", spe_work, ppe_work);
 }
 
-cell::StageTiming stage_quant_fixed(cell::Machine& m,
-                                    Span2d<const Sample> fxplane,
-                                    Span2d<Sample> qplane,
-                                    const jp2k::TileComponent& tc,
-                                    const backend::KernelBackend& bk) {
+template <class V>
+cell::StageTiming quant_fixed(cell::Machine& m, Span2d<const Sample> fxplane,
+                              Span2d<Sample> qplane,
+                              const jp2k::TileComponent& tc) {
   const std::size_t w = fxplane.width();
   const std::size_t h = fxplane.height();
   CJ2K_CHECK(qplane.width() == w && qplane.height() == h);
@@ -124,6 +122,7 @@ cell::StageTiming stage_quant_fixed(cell::Machine& m,
       return;
     }
     const auto [start, count] = rows[static_cast<std::size_t>(i)];
+    V s = vec_policy<V>(ctx);
     const std::size_t pad = round_up(w, 32);
     // Whole-cache-line transfers, ping/pong double buffering (see
     // stage_quant above).
@@ -146,7 +145,7 @@ cell::StageTiming stage_quant_fixed(cell::Machine& m,
       for (const auto& seg : segments_for_row(tc, y)) {
         const auto inv = static_cast<std::int64_t>(
             (65536.0 / seg.step) + 0.5);
-        bk.quant_fixed_row(ctx.simd, fin[cur] + seg.x0, qout[cur] + seg.x0,
+        simd_quant_fixed_row(s, fin[cur] + seg.x0, qout[cur] + seg.x0,
                              seg.width, inv);
       }
       dma_put_row_tagged(ctx.dma, qout[cur], qplane.row(y), tw, cur);
@@ -168,6 +167,27 @@ cell::StageTiming stage_quant_fixed(cell::Machine& m,
   };
 
   return m.run_data_parallel("quantize(fx)", spe_work, ppe_work);
+}
+
+}  // namespace
+
+cell::StageTiming stage_quant(cell::Machine& m, Span2d<const float> fplane,
+                              Span2d<Sample> qplane,
+                              const jp2k::TileComponent& tc,
+                              backend::BackendKind bk) {
+  return bk == backend::BackendKind::kNative
+             ? quant<backend::HostVec>(m, fplane, qplane, tc)
+             : quant<cell::Simd>(m, fplane, qplane, tc);
+}
+
+cell::StageTiming stage_quant_fixed(cell::Machine& m,
+                                    Span2d<const Sample> fxplane,
+                                    Span2d<Sample> qplane,
+                                    const jp2k::TileComponent& tc,
+                                    backend::BackendKind bk) {
+  return bk == backend::BackendKind::kNative
+             ? quant_fixed<backend::HostVec>(m, fxplane, qplane, tc)
+             : quant_fixed<cell::Simd>(m, fxplane, qplane, tc);
 }
 
 }  // namespace cj2k::cellenc

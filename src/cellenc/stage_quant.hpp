@@ -18,13 +18,13 @@ namespace cj2k::cellenc {
 cell::StageTiming stage_quant(
     cell::Machine& m, Span2d<const float> fplane, Span2d<Sample> qplane,
     const jp2k::TileComponent& tc,
-    const backend::KernelBackend& bk = backend::cell_model());
+    backend::BackendKind bk = backend::BackendKind::kCellModel);
 
 /// Fixed-point variant: quantizes a Q13 coefficient plane via reciprocal
 /// multiplies (emulated on the SPE).
 cell::StageTiming stage_quant_fixed(
     cell::Machine& m, Span2d<const Sample> fxplane, Span2d<Sample> qplane,
     const jp2k::TileComponent& tc,
-    const backend::KernelBackend& bk = backend::cell_model());
+    backend::BackendKind bk = backend::BackendKind::kCellModel);
 
 }  // namespace cj2k::cellenc

@@ -32,8 +32,7 @@ constexpr std::uint64_t kHullSegmentBytes = 32;
 T1StageResult stage_t1(cell::Machine& m, jp2k::Tile& tile,
                        const std::vector<Span2d<const Sample>>& coeff_planes,
                        T1Distribution dist, const jp2k::T1Options& t1opt,
-                       HullCapture* hulls, jp2k::BlockCoder coder,
-                       const backend::KernelBackend& bk) {
+                       HullCapture* hulls, jp2k::BlockCoder coder) {
   CJ2K_CHECK(coeff_planes.size() == tile.components.size());
   CJ2K_CHECK_MSG(!(hulls && coder == jp2k::BlockCoder::kHt),
                  "HT blocks have no truncation points to build hulls over");
@@ -74,9 +73,9 @@ T1StageResult stage_t1(cell::Machine& m, jp2k::Tile& tile,
             br.sb->info.x0 + br.cb->x0, br.sb->info.y0 + br.cb->y0, br.cb->w,
             br.cb->h);
         br.cb->enc = coder == jp2k::BlockCoder::kHt
-                         ? jp2k::ht_encode_block(view, &bk)
+                         ? jp2k::ht_encode_block(view)
                          : jp2k::t1_encode_block(view, br.sb->info.orient,
-                                                 t1opt, &bk);
+                                                 t1opt);
         br.cb->include_all();
         if (hulls) {
           jp2k::build_block_hull(*br.cb, br.hull_weight,

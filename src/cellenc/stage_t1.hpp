@@ -16,7 +16,6 @@
 // absorbed.
 #pragma once
 
-#include "backend/kernel_backend.hpp"
 #include "cell/machine.hpp"
 #include "common/span2d.hpp"
 #include "image/image.hpp"
@@ -74,7 +73,6 @@ T1StageResult stage_t1(
     const std::vector<Span2d<const Sample>>& coeff_planes,
     T1Distribution dist = T1Distribution::kWorkQueue,
     const jp2k::T1Options& t1opt = {}, HullCapture* hulls = nullptr,
-    jp2k::BlockCoder coder = jp2k::BlockCoder::kEbcot,
-    const backend::KernelBackend& bk = backend::cell_model());
+    jp2k::BlockCoder coder = jp2k::BlockCoder::kEbcot);
 
 }  // namespace cj2k::cellenc

@@ -15,8 +15,6 @@
 
 namespace cj2k::jp2k {
 
-namespace {
-
 void validate(const Image& img, const CodingParams& p) {
   CJ2K_CHECK_MSG(img.components() >= 1, "image has no components");
   if (p.mct && img.components() >= 3) {
@@ -48,6 +46,8 @@ void validate(const Image& img, const CodingParams& p) {
     }
   }
 }
+
+namespace {
 
 /// Layered budgets over a tile set (the multi-tile form of
 /// plan_layer_budgets: the "everything" fallback sums every tile's coded

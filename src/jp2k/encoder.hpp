@@ -28,6 +28,11 @@ struct EncodeStats {
   RateControlStats rate;
 };
 
+/// The parameter domain every encode entry point accepts (serial, Cell
+/// pipeline, service): throws InvalidArgument on out-of-range or
+/// unsupported parameter combinations.
+void validate(const Image& img, const CodingParams& params);
+
 /// Encodes an image into a codestream.  Throws InvalidArgument on
 /// unsupported parameter combinations.
 std::vector<std::uint8_t> encode(const Image& img, const CodingParams& params,

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "backend/kernel_backend.hpp"
 #include "common/error.hpp"
 #include "jp2k/codestream.hpp"
 
@@ -251,8 +250,7 @@ Quad quad_at(std::size_t qy, std::size_t qx, std::size_t w, std::size_t h) {
 
 }  // namespace
 
-T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs,
-                               const backend::KernelBackend* bk) {
+T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs) {
   const std::size_t w = coeffs.width();
   const std::size_t h = coeffs.height();
   CJ2K_CHECK_MSG(w >= 1 && w <= 1024 && h >= 1 && h <= 1024,
@@ -260,10 +258,8 @@ T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs,
 
   // Magnitude bit-plane count, exactly as EBCOT computes it: Tier-2 still
   // transmits it through the imsb tag tree, so the per-band maxima must
-  // agree between coders.  The prescan dispatches through the kernel
-  // backend (both backends are bit-exact).
-  const std::uint32_t maxmag =
-      (bk ? *bk : backend::cell_model()).block_maxmag(coeffs);
+  // agree between coders.
+  const std::uint32_t maxmag = block_prescan(coeffs);
 
   T1EncodedBlock out;
   out.num_bitplanes = bit_length(maxmag);

@@ -24,20 +24,13 @@
 #include "image/image.hpp"
 #include "jp2k/t1_common.hpp"
 
-namespace cj2k::backend {
-class KernelBackend;
-}  // namespace cj2k::backend
-
 namespace cj2k::jp2k {
 
 /// Encodes one code block with the HT cleanup pass.  The result carries a
 /// single kCleanup PassInfo (HT has no truncation points), and
 /// `total_symbols` counts coded *samples* (w*h) — the HT cost-model basis,
-/// as opposed to EBCOT's MQ-decision count.  `bk` selects the kernel
-/// backend for the max-magnitude prescan (nullptr = the instrumented
-/// Cell-model backend; both backends are bit-exact — DESIGN.md §13).
-T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs,
-                               const backend::KernelBackend* bk = nullptr);
+/// as opposed to EBCOT's MQ-decision count.
+T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs);
 
 /// Decodes one HT cleanup-pass segment.  Mirrors t1_decode_block's shape so
 /// the Tier-2/decoder plumbing can dispatch on the block coder;

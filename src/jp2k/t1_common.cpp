@@ -1,5 +1,8 @@
 #include "jp2k/t1_common.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "common/error.hpp"
 
 namespace cj2k::jp2k {
@@ -69,6 +72,24 @@ ScLookup sc_lookup(int hc, int vc) {
   if (vc == 1) return {kCtxScBase + 2, 1};
   if (vc == 0) return {kCtxScBase + 3, 1};
   return {kCtxScBase + 4, 1};
+}
+
+std::uint32_t block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
+                            T1Flags* flags) {
+  const std::size_t w = coeffs.width();
+  std::uint32_t maxmag = 0;
+  for (std::size_t y = 0; y < coeffs.height(); ++y) {
+    const Sample* row = coeffs.row(y);
+    for (std::size_t x = 0; x < w; ++x) {
+      const auto m = static_cast<std::uint32_t>(std::abs(row[x]));
+      if (mag) {
+        mag[y * w + x] = m;
+        if (row[x] < 0) flags->at(y, x) |= kFlagSign;
+      }
+      maxmag = std::max(maxmag, m);
+    }
+  }
+  return maxmag;
 }
 
 }  // namespace cj2k::jp2k

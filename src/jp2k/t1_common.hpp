@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/span2d.hpp"
+#include "image/image.hpp"
 #include "jp2k/mq.hpp"
 
 namespace cj2k::jp2k {
@@ -168,5 +170,13 @@ struct T1Flags {
 
 /// Height of the Tier-1 scan stripe.
 inline constexpr std::size_t kStripeHeight = 4;
+
+/// Block prescan shared by both block coders: returns max |coeff| (which
+/// fixes the coded bit-plane count).  With `mag`, also stores
+/// mag[y*width+x] = |coeffs(y,x)| and sets kFlagSign in `flags` for every
+/// negative sample (the EBCOT coder's magnitude/sign planes).
+std::uint32_t block_prescan(Span2d<const Sample> coeffs,
+                            std::uint32_t* mag = nullptr,
+                            T1Flags* flags = nullptr);
 
 }  // namespace cj2k::jp2k

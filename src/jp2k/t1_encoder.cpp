@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "backend/kernel_backend.hpp"
 #include "common/error.hpp"
 #include "jp2k/mq_encoder.hpp"
 
@@ -15,7 +14,7 @@ namespace {
 class BlockEncoder {
  public:
   BlockEncoder(Span2d<const Sample> coeffs, SubbandOrient orient,
-               const T1Options& options, const backend::KernelBackend& bk)
+               const T1Options& options)
       : w_(coeffs.width()),
         h_(coeffs.height()),
         orient_(orient),
@@ -24,10 +23,7 @@ class BlockEncoder {
         mag_(w_ * h_) {
     CJ2K_CHECK_MSG(w_ >= 1 && w_ <= 1024 && h_ >= 1 && h_ <= 1024,
                    "code block dimensions out of range");
-    // Magnitude/sign prescan through the kernel backend (both backends are
-    // bit-exact; the native one vectorizes the abs/max).
-    const std::uint32_t maxmag = bk.t1_mag_sign(
-        coeffs, mag_.data(), &flags_.at(0, 0), flags_.stride, kFlagSign);
+    const std::uint32_t maxmag = block_prescan(coeffs, mag_.data(), &flags_);
     num_planes_ = 0;
     while (maxmag >> num_planes_) ++num_planes_;
   }
@@ -233,11 +229,8 @@ class BlockEncoder {
 
 T1EncodedBlock t1_encode_block(Span2d<const Sample> coeffs,
                                SubbandOrient orient,
-                               const T1Options& options,
-                               const backend::KernelBackend* bk) {
-  return BlockEncoder(coeffs, orient, options,
-                      bk ? *bk : backend::cell_model())
-      .run();
+                               const T1Options& options) {
+  return BlockEncoder(coeffs, orient, options).run();
 }
 
 }  // namespace cj2k::jp2k

@@ -8,10 +8,6 @@
 #include "image/image.hpp"
 #include "jp2k/t1_common.hpp"
 
-namespace cj2k::backend {
-class KernelBackend;
-}  // namespace cj2k::backend
-
 namespace cj2k::jp2k {
 
 /// Encodes one code block of signed wavelet coefficients.
@@ -19,14 +15,8 @@ namespace cj2k::jp2k {
 /// `coeffs` is the quantized (or reversible) coefficient rectangle; values
 /// are interpreted sign-magnitude.  Block dimensions must each be in
 /// [1, 1024] per the standard (typically 64×64).
-///
-/// `bk` selects the kernel backend used for the magnitude/sign prescan
-/// (nullptr = the instrumented Cell-model backend).  Both backends produce
-/// identical prescan results; the dispatch exists so the native host-SIMD
-/// backend covers the T1 primitive too (DESIGN.md §13).
 T1EncodedBlock t1_encode_block(Span2d<const Sample> coeffs,
                                SubbandOrient orient,
-                               const T1Options& options = {},
-                               const backend::KernelBackend* bk = nullptr);
+                               const T1Options& options = {});
 
 }  // namespace cj2k::jp2k

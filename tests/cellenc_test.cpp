@@ -7,6 +7,7 @@
 #include "cellenc/p4_model.hpp"
 #include "cellenc/pipeline.hpp"
 #include "image/metrics.hpp"
+#include "common/error.hpp"
 #include "image/synth.hpp"
 #include "jp2k/decoder.hpp"
 #include "jp2k/encoder.hpp"
@@ -33,6 +34,29 @@ TEST(Pipeline, LosslessMatchesSerialEncoderBitExactly) {
     CellEncoder enc(config(spes));
     const auto res = enc.encode(img, p);
     EXPECT_EQ(res.codestream, serial) << spes << " SPEs";
+  }
+}
+
+// The pipeline accepts exactly the serial encoder's parameter domain: HT
+// with quality layers and a code block narrower than 4 throw at entry, on
+// the single-tile and the tiled path alike.
+TEST(Pipeline, RejectsParametersTheSerialEncoderRejects) {
+  const Image img = synth::photographic(64, 48, 3, 57);
+  jp2k::CodingParams ht_layers;
+  ht_layers.block_coder = jp2k::BlockCoder::kHt;
+  ht_layers.wavelet = jp2k::WaveletKind::kIrreversible97;
+  ht_layers.rate = 0.25;
+  ht_layers.layers = 2;
+  jp2k::CodingParams narrow_blocks;
+  narrow_blocks.cb_width = 3;
+  for (const auto& p : {ht_layers, narrow_blocks}) {
+    EXPECT_THROW(jp2k::encode(img, p), InvalidArgument);
+    for (const std::size_t tiles : {1, 2}) {
+      jp2k::CodingParams tp = p;
+      tp.tiles_x = tp.tiles_y = tiles;
+      CellEncoder enc(config(8));
+      EXPECT_THROW(enc.encode(img, tp), InvalidArgument) << tiles;
+    }
   }
 }
 

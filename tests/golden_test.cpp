@@ -8,6 +8,9 @@
 // and copying the "actual" digests from the failure output.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cellenc/pipeline.hpp"
 #include "common/sha256.hpp"
 #include "image/synth.hpp"
@@ -74,6 +77,76 @@ const GoldenCase kCases[] = {
      jp2k::BlockCoder::kHt},
 };
 
+// Simulated seconds of every pipeline stage at 8 SPEs + 2 PPE threads,
+// pinned bit for bit (hex-float literals).  They are a pure function of the
+// op counters the counting kernels charge, so a kernel refactor that moves
+// a single counter fails here before any benchmark figure drifts.
+struct StagePin {
+  const char* stage;
+  double seconds;
+};
+struct StageSecondsPin {
+  const char* name;
+  std::vector<StagePin> stages;
+};
+
+const StageSecondsPin kStageSecondsAt8Spes[] = {
+    {"lossless_1x1",
+     {{"read", 0x1.e32f0ee144531p-18},
+      {"levelshift+mct", 0x1.e32f0ee144531p-18},
+      {"dwt", 0x1.110c97bdf746ep-15},
+      {"tier1", 0x1.12c8c5004fb12p-11},
+      {"t2", 0x1.e7e70486777dep-14}}},
+    {"lossless_2x2",
+     {{"read", 0x1.6255b5942109cp-17},
+      {"levelshift+mct", 0x1.21e908ed8f65p-17},
+      {"dwt", 0x1.405c66884a3bdp-15},
+      {"tier1", 0x1.35e74299d883cp-11},
+      {"t2", 0x1.1d2905b2c768p-13}}},
+    {"lossy_1x1",
+     {{"read", 0x1.e32f0ee144531p-18},
+      {"levelshift+ict", 0x1.e32f0ee144531p-18},
+      {"dwt", 0x1.41bbb725c68e3p-15},
+      {"quant", 0x1.e32f0ee144531p-18},
+      {"tier1", 0x1.efc0823baf02cp-11},
+      {"rate", 0x1.8889d1d06cbf7p-14},
+      {"t2", 0x1.779994911c1c8p-17}}},
+    {"lossy_2x2",
+     {{"read", 0x1.6255b5942109cp-17},
+      {"levelshift+ict", 0x1.21e908ed8f65p-17},
+      {"dwt", 0x1.abc99cec8a575p-15},
+      {"quant", 0x1.e32f0ee144532p-18},
+      {"tier1", 0x1.4c890fde9a54cp-10},
+      {"rate", 0x1.0469463faa64fp-14},
+      {"t2", 0x1.80788b570baa5p-17}}},
+    {"ht_lossless_1x1",
+     {{"read", 0x1.e32f0ee144531p-18},
+      {"levelshift+mct", 0x1.e32f0ee144531p-18},
+      {"dwt", 0x1.110c97bdf746ep-15},
+      {"tier1", 0x1.c4fc1df3300dep-16},
+      {"t2", 0x1.4cf9add667804p-13}}},
+    {"ht_lossless_2x2",
+     {{"read", 0x1.6255b5942109cp-17},
+      {"levelshift+mct", 0x1.21e908ed8f65p-17},
+      {"dwt", 0x1.405c66884a3bdp-15},
+      {"tier1", 0x1.f24887584e75ap-16},
+      {"t2", 0x1.7c3d68405b39ep-13}}},
+    {"ht_lossy_1x1",
+     {{"read", 0x1.e32f0ee144531p-18},
+      {"levelshift+ict", 0x1.e32f0ee144531p-18},
+      {"dwt", 0x1.41bbb725c68e3p-15},
+      {"quant", 0x1.e32f0ee144531p-18},
+      {"tier1", 0x1.c4fc1df3300dep-16},
+      {"t2", 0x1.cd1c7de5082cfp-14}}},
+    {"ht_lossy_2x2",
+     {{"read", 0x1.6255b5942109cp-17},
+      {"levelshift+ict", 0x1.21e908ed8f65p-17},
+      {"dwt", 0x1.abc99cec8a575p-15},
+      {"quant", 0x1.e32f0ee144532p-18},
+      {"tier1", 0x1.f24887584e75ap-16},
+      {"t2", 0x1.156d4f8eb38c9p-13}}},
+};
+
 class Golden : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(Golden, SerialReferenceMatchesPinnedDigest) {
@@ -109,6 +182,23 @@ TEST_P(Golden, NativeSimdBackendMatchesPinnedDigest) {
     EXPECT_EQ(common::sha256_hex(res.codestream), gc.digest)
         << gc.name << " at " << spes << " SPEs (native backend, "
         << backend::native_isa() << ")";
+  }
+}
+
+TEST_P(Golden, PipelineStageSecondsMatchPinnedAt8Spes) {
+  const GoldenCase& gc = GetParam();
+  const StageSecondsPin* pin = nullptr;
+  for (const auto& p : kStageSecondsAt8Spes) {
+    if (std::string(p.name) == gc.name) pin = &p;
+  }
+  ASSERT_NE(pin, nullptr) << gc.name;
+  cellenc::CellEncoder enc(config(8, 2));
+  const auto res = enc.encode(golden_image(), golden_params(gc));
+  ASSERT_EQ(res.stages.size(), pin->stages.size()) << gc.name;
+  for (std::size_t i = 0; i < res.stages.size(); ++i) {
+    EXPECT_EQ(res.stages[i].name, pin->stages[i].stage) << gc.name;
+    EXPECT_EQ(res.stages[i].seconds, pin->stages[i].seconds)
+        << gc.name << " stage " << res.stages[i].name;
   }
 }
 

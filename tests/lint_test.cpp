@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -196,6 +198,36 @@ TEST(LintRegions, LambdaTakingSpeContextIsARegion) {
   const auto vs = lint_source("t.cpp", src, {});
   ASSERT_EQ(vs.size(), 1u);
   EXPECT_EQ(vs[0].rule, "spe-heap-alloc");
+}
+
+TEST(LintRegions, TemplatedPolicyKernelIsARegion) {
+  // A kernel written once over a vector policy takes `V&`, not `Simd&`; it
+  // is still SPE code.  Forwarding (`Fn&&`) and const (`const T&`) template
+  // parameters do not make a region, nor does a class template's member:
+  // the parameters' scope ends at the declaration's first `{`.
+  const std::string src =
+      "template <class V, typename T>\n"
+      "void kernel(V& s, const T* in, std::size_t n) {\n"
+      "  auto* tmp = new float[n];\n"
+      "  std::vector<float> grow;\n"
+      "  grow.push_back(in[0]);\n"
+      "}\n"
+      "template <typename Fn, typename T>\n"
+      "void host_helper(Fn&& fn, const T& t) {\n"
+      "  std::vector<int> fine;\n"
+      "}\n"
+      "template <class V>\n"
+      "struct Holder {\n"
+      "  void set(V& v) { std::vector<V> copies; }\n"
+      "};\n";
+  const auto vs = lint_source("t.hpp", src, {});
+  ASSERT_EQ(vs.size(), 3u) << format_violations(vs);
+  EXPECT_EQ(vs[0].rule, "spe-heap-alloc");
+  EXPECT_EQ(vs[0].line, 3u);
+  EXPECT_EQ(vs[1].rule, "spe-vector-growth");
+  EXPECT_EQ(vs[1].line, 4u);
+  EXPECT_EQ(vs[2].rule, "spe-vector-growth");
+  EXPECT_EQ(vs[2].line, 5u);
 }
 
 TEST(LintRegions, RegionEndsAtClosingBrace) {
@@ -532,6 +564,25 @@ TEST(LintGate, SrcTreeHasSpeRegionsToCheck) {
   // an empty clean result above is meaningful.
   const auto vs = lint_tree(CJ2K_SOURCE_DIR "/src", spe_all());
   EXPECT_FALSE(vs.empty());
+}
+
+TEST(LintGate, TemplatedRowKernelsAreSpeRegions) {
+  // The one-source row kernels are templates over the vector policy.  Seed
+  // a vector declaration into every kernel body: each must be flagged, or
+  // the clean gate above is not covering the kernels.
+  std::ifstream in(CJ2K_SOURCE_DIR "/src/cellenc/kernels.hpp");
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  std::string text = ss.str();
+  std::size_t seeded = 0;
+  for (std::size_t pos = text.find("\nvoid simd_"); pos != std::string::npos;
+       pos = text.find("\nvoid simd_", pos + 1)) {
+    text.insert(text.find("{\n", pos) + 2, "  std::vector<int> seeded;\n");
+    ++seeded;
+  }
+  EXPECT_GE(seeded, 18u);
+  const auto vs = lint_source("kernels.hpp", text, {});
+  EXPECT_EQ(vs.size(), seeded) << format_violations(vs);
 }
 
 TEST(LintGate, BenchAndToolsTreesAreClean) {

@@ -16,6 +16,18 @@ namespace {
 /// function/lambda as SPE-resident (the repo's kernel calling convention).
 const std::regex kSpeMarker(R"((SpeContext|Simd|DmaEngine)\s*&)");
 
+/// A template's type-parameter names (`template <class V, typename T>`).
+const std::regex kTemplateHead(R"(\btemplate\s*<)");
+const std::regex kTypeParam(R"(\b(?:class|typename)\s+(\w+))");
+
+/// True when `line` declares a parameter of exactly type `name&` — a vector
+/// policy taken by mutable reference (`(V& s`), the templated form of the
+/// `Simd&` convention.  `const V&` and forwarding `V&&` do not count.
+bool takes_policy_ref(const std::string& line, const std::string& name) {
+  const std::regex param("[(,]\\s*" + name + "\\s*&(?!&)");
+  return std::regex_search(line, param);
+}
+
 /// DMA transfer calls carrying a size-in-bytes/elements argument.  The
 /// asynchronous engine calls and the tagged row helpers take the tag
 /// *after* the size, so the checked argument index depends on the name.
@@ -201,15 +213,30 @@ std::vector<SpeRegion> find_spe_regions(const std::string& stripped_text) {
   bool pending = false;
   int pending_paren = 0;
   std::vector<int> region_depths;
+  // Type parameters of the template whose declaration is being scanned;
+  // cleared at the declaration's first `{` or `;`.
+  std::vector<std::string> template_params;
 
   std::vector<SpeRegion> out;
   bool was_in = false;
   for (std::size_t li = 0; li < lines.size(); ++li) {
     const std::string& line = lines[li];
 
+    if (std::regex_search(line, kTemplateHead)) {
+      template_params.clear();
+      for (auto it = std::sregex_iterator(line.begin(), line.end(), kTypeParam);
+           it != std::sregex_iterator(); ++it) {
+        template_params.push_back(it->str(1));
+      }
+    }
+
     // A new SPE-kernel signature?  std::function<...SpeContext&...> is a
     // type naming the convention, not a kernel definition.
-    if (!pending && std::regex_search(line, kSpeMarker) &&
+    const bool policy_kernel = std::any_of(
+        template_params.begin(), template_params.end(),
+        [&](const std::string& p) { return takes_policy_ref(line, p); });
+    if (!pending &&
+        (policy_kernel || std::regex_search(line, kSpeMarker)) &&
         line.find("function<") == std::string::npos) {
       pending = true;
       pending_paren = 0;
@@ -225,6 +252,7 @@ std::vector<SpeRegion> find_spe_regions(const std::string& stripped_text) {
 
     // Advance the brace/paren scanner.
     for (const char c : line) {
+      if (c == '{' || c == ';') template_params.clear();
       if (pending) {
         if (c == '(') {
           ++pending_paren;

@@ -6,8 +6,11 @@
 // and fast enough to run as a ctest.  SPE-kernel regions are recognized by
 // their parameter signature: any function or lambda taking a
 // `cell::SpeContext&`, `cell::Simd&` or `cell::DmaEngine&` parameter is
-// SPE-resident code (that is the repo's kernel calling convention), and
-// inside such a region the SPE programming model applies:
+// SPE-resident code (that is the repo's kernel calling convention), as is a
+// function template taking one of its own type parameters by mutable
+// reference — `template <class V> void k(V& s, ...)`, a kernel written once
+// over a vector policy.  Inside such a region the SPE programming model
+// applies:
 //
 //   spe-heap-alloc    — new/delete/malloc/free: SPE kernels own no heap;
 //                       working memory comes from LocalStore::alloc.
@@ -97,7 +100,8 @@ struct SpeRegion {
 };
 
 /// Scans comment/string-stripped source text for SPE-kernel regions (any
-/// function or lambda taking `SpeContext&` / `Simd&` / `DmaEngine&`).
+/// function or lambda taking `SpeContext&` / `Simd&` / `DmaEngine&`, or a
+/// template taking its type parameter `V&`).
 std::vector<SpeRegion> find_spe_regions(const std::string& stripped_text);
 
 /// Splits a top-level argument list (text after the `(` at `open_pos`) into

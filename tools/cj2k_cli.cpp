@@ -307,7 +307,7 @@ int cmd_bench(const std::string& in, const std::vector<std::string>& args) {
   std::printf("Cell model: %d SPE + %d PPE thread(s), %d chip(s), "
               "%s kernel backend\n",
               cfg.num_spes, cfg.num_ppe_threads, cfg.chips,
-              backend::get(opt.backend).name());
+              backend::to_string(opt.backend));
   std::printf("simulated encode: %.2f ms (host wall %.0f ms), %zu bytes\n",
               res.simulated_seconds * 1e3, res.wall_seconds * 1e3,
               res.codestream.size());
