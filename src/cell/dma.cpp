@@ -74,27 +74,44 @@ void DmaEngine::put(const void* ls_src, void* main_dst, std::size_t bytes) {
 
 void DmaEngine::issue_async(void* ls, std::size_t bytes, unsigned tag,
                             bool is_get, bool fenced) {
+  // Range records exist only for the audit: without one every hazard
+  // report would be dropped, so nothing is recorded or scanned.
+  if (audit_ != nullptr) record_pending(ls, bytes, tag, is_get, fenced);
+  pending_mask_ |= 1u << tag;
+  issued_mask_ |= 1u << tag;
+  ++c_->dma_tagged_transfers;
+  c_->dma_bytes_tagged += bytes;
+  if (trace_ != nullptr) trace_->on_issue(tag, bytes, is_get, fenced);
+}
+
+void DmaEngine::record_pending(void* ls, std::size_t bytes, unsigned tag,
+                               bool is_get, bool fenced) {
   // Hazard: the new transfer's Local Store range overlaps one still in
   // flight.  A fenced issue on the *same* tag is the legal re-targeting
   // idiom (ordered after the in-flight transfer); everything else is the
   // classic double-buffering bug.
   const auto lo = reinterpret_cast<std::uintptr_t>(ls);
   const std::uintptr_t hi = lo + bytes;
+  const Pending* hazard = nullptr;
+  bool folded = false;
   for (const Pending& p : pending_) {
-    if (lo < p.hi && p.lo < hi && !(fenced && p.tag == tag)) {
-      report_hazard(TagHazard::kReuseInFlight,
-                    "tag " + std::to_string(tag) +
-                        " re-targets a Local Store range in flight on tag " +
-                        std::to_string(p.tag) + " without a same-tag fence");
-      break;
+    if (hazard == nullptr && lo < p.hi && p.lo < hi &&
+        !(fenced && p.tag == tag)) {
+      hazard = &p;
     }
+    folded = folded || (p.lo == lo && p.hi == hi && p.tag == tag);
   }
-  pending_.push_back({lo, hi, tag, is_get});
-  pending_mask_ |= 1u << tag;
-  issued_mask_ |= 1u << tag;
-  ++c_->dma_tagged_transfers;
-  c_->dma_bytes_tagged += bytes;
-  if (trace_ != nullptr) trace_->on_issue(tag, bytes, is_get, fenced);
+  if (hazard != nullptr) {
+    report_hazard(TagHazard::kReuseInFlight,
+                  "tag " + std::to_string(tag) +
+                      " re-targets a Local Store range in flight on tag " +
+                      std::to_string(hazard->tag) +
+                      " without a same-tag fence");
+  }
+  // An identical same-tag record is already pending: it retires on the same
+  // waits and, sitting earlier in the list, answers every later query first,
+  // so a second record could never change a report (DESIGN.md §10).
+  if (!folded) pending_.push_back({lo, hi, tag, is_get});
 }
 
 void DmaEngine::get_async(void* ls_dst, const void* main_src,
@@ -158,6 +175,7 @@ void DmaEngine::retire_tags(std::uint32_t mask, const char* wait_kind) {
 }
 
 void DmaEngine::touch(const void* ls_ptr, std::size_t bytes) {
+  if (audit_ == nullptr) return;
   const auto lo = reinterpret_cast<std::uintptr_t>(ls_ptr);
   const std::uintptr_t hi = lo + bytes;
   for (const Pending& p : pending_) {

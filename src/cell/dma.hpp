@@ -16,8 +16,9 @@
 //    legal.
 //
 // Functionally the model copies data at issue time (host threads share one
-// address space), but it tracks per-tag in-flight Local Store ranges and
-// reports tag-discipline hazards to the invariant audit (cellcheck tier 2):
+// address space).  With an invariant audit attached (cellcheck tier 2) it
+// also tracks per-tag in-flight Local Store ranges and reports
+// tag-discipline hazards:
 // a buffer touched while its transfer is in flight, a buffer re-targeted
 // while in flight, and a kernel exiting with pending tags.  Hard MFC misuse
 // (tag out of range, waiting on nothing) throws CellHardwareError.
@@ -115,10 +116,17 @@ class DmaEngine {
   /// Bitmask of tags issued on since the last reset (sticky across waits).
   std::uint32_t issued_mask() const { return issued_mask_; }
 
+  /// In-flight range records the hazard checks scan: always 0 without an
+  /// audit, and at most one per (tag, Local Store range) with one.
+  std::size_t pending_entries() const { return pending_.size(); }
+
   OpCounters& counters() { return *c_; }
 
   /// Attaches the invariant audit every accepted transfer reports into
-  /// (cellcheck tier 2); nullptr detaches.
+  /// (cellcheck tier 2); nullptr detaches.  Hazard checks cover transfers
+  /// issued after the attach: without an audit no in-flight ranges are
+  /// recorded at all.  Attach or detach between kernels (Machine does it
+  /// between encodes).
   void attach_audit(InvariantAudit* audit) { audit_ = audit; }
 
   /// Attaches a trace staging log (DESIGN.md §11): accepted transfers and
@@ -144,6 +152,10 @@ class DmaEngine {
   void put_impl(const void* ls_src, void* main_dst, std::size_t bytes);
   void issue_async(void* ls, std::size_t bytes, unsigned tag, bool is_get,
                    bool fenced);
+  /// Audit-only bookkeeping of one issue: reports an in-flight reuse, then
+  /// records the range unless an identical same-tag record is pending.
+  void record_pending(void* ls, std::size_t bytes, unsigned tag, bool is_get,
+                      bool fenced);
   void retire_tags(std::uint32_t mask, const char* wait_kind);
   void report_hazard(TagHazard kind, const std::string& detail);
   OpCounters* c_;

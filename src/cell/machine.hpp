@@ -87,6 +87,9 @@ struct StageTiming {
   /// Stall attribution; components sum to `seconds` (always filled — the
   /// breakdown is a handful of divisions, not a tracing feature).
   StallBreakdown stall;
+  /// Host wall seconds the stage's calls took (informative, the other
+  /// clock): never part of the metrics registry or the trace export.
+  double wall_seconds = 0;
 
   StageTiming& operator+=(const StageTiming& o) {
     spe_compute += o.spe_compute;
@@ -98,6 +101,7 @@ struct StageTiming {
     dma_overlap_saved += o.dma_overlap_saved;
     dma_bytes += o.dma_bytes;
     stall += o.stall;
+    wall_seconds += o.wall_seconds;
     return *this;
   }
 };

@@ -28,6 +28,12 @@ double PipelineResult::stage_seconds(const std::string& name) const {
   return 0.0;
 }
 
+std::map<std::string, double> PipelineResult::wall_metrics() const {
+  std::map<std::string, double> wall{{"wall.seconds", wall_seconds}};
+  for (const auto& s : stages) wall["wall.stage." + s.name] = s.wall_seconds;
+  return wall;
+}
+
 namespace {
 
 /// The "read component data" stage: stream the source planes into the
@@ -196,9 +202,18 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
   tile.layers = params.layers;
   tile.progression = static_cast<int>(params.progression);
 
+  // Every stage is pushed through here, stamped with the host time since
+  // the previous one (the stage call plus its tile-skeleton bookkeeping).
+  Timer lap;
+  auto push_stage = [&](cell::StageTiming t) {
+    t.wall_seconds = lap.seconds();
+    lap.reset();
+    res.stages.push_back(std::move(t));
+  };
+
   // --- Read / convert -------------------------------------------------------
   std::vector<Plane> work;
-  res.stages.push_back(stage_read(machine, img, work));
+  push_stage(stage_read(machine, img, work));
 
   std::vector<Span2d<const Sample>> coeff_views;
   std::vector<Plane> qplanes;
@@ -206,8 +221,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
 
   if (params.wavelet == jp2k::WaveletKind::kReversible53) {
     // --- Level shift + RCT --------------------------------------------------
-    res.stages.push_back(
-        stage_mct_lossless(machine, work, color, depth, bk));
+    push_stage(stage_mct_lossless(machine, work, color, depth, bk));
 
     // --- DWT ----------------------------------------------------------------
     cell::StageTiming dwt_t;
@@ -216,7 +230,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
       dwt_t += stage_dwt53(machine, work[c].view(), params.levels, dwt, bk);
     }
     dwt_t.name = "dwt";
-    res.stages.push_back(dwt_t);
+    push_stage(dwt_t);
 
     // --- Tile skeleton ------------------------------------------------------
     for (std::size_t c = 0; c < ncomp; ++c) {
@@ -236,7 +250,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
     std::vector<Plane> fxplanes;
     fxplanes.reserve(ncomp);
     for (std::size_t c = 0; c < ncomp; ++c) fxplanes.emplace_back(w, h);
-    res.stages.push_back(
+    push_stage(
         stage_mct_lossy_fixed(machine, work, fxplanes, color, depth, bk));
 
     cell::StageTiming dwt_t;
@@ -245,7 +259,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
                                  dwt, bk);
     }
     dwt_t.name = "dwt";
-    res.stages.push_back(dwt_t);
+    push_stage(dwt_t);
 
     cell::StageTiming quant_t;
     qplanes.reserve(ncomp);
@@ -269,7 +283,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
       coeff_views.push_back(qplanes[c].view());
     }
     quant_t.name = "quant";
-    res.stages.push_back(quant_t);
+    push_stage(quant_t);
   } else {
     // --- Level shift + ICT (into float planes) ------------------------------
     const std::size_t stride = work[0].stride();
@@ -278,7 +292,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
       fplanes.emplace_back(stride * h);
     }
     // The paper's merged kernel reads the converted integer planes.
-    res.stages.push_back(
+    push_stage(
         stage_mct_lossy(machine, work, fplanes, stride, color, depth, bk));
 
     // --- DWT ----------------------------------------------------------------
@@ -289,7 +303,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
       dwt_t += stage_dwt97(machine, fv, params.levels, dwt, bk);
     }
     dwt_t.name = "dwt";
-    res.stages.push_back(dwt_t);
+    push_stage(dwt_t);
 
     // --- Tile skeleton + quantization --------------------------------------
     cell::StageTiming quant_t;
@@ -315,7 +329,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
       coeff_views.push_back(qplanes[c].view());
     }
     quant_t.name = "quant";
-    res.stages.push_back(quant_t);
+    push_stage(quant_t);
   }
 
   // --- Tier-1 over the work queue; with hull capture the same workers also
@@ -324,7 +338,7 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
   const T1StageResult t1 =
       stage_t1(machine, tile, coeff_views, opt.t1_dist, params.t1, hulls,
                params.block_coder);
-  res.stages.push_back(t1.timing);
+  push_stage(t1.timing);
   res.t1_symbols = t1.total_symbols;
   res.hull_extra_seconds = t1.hull_extra_seconds;
   res.hull_serial_seconds = t1.hull_serial_seconds;
@@ -405,6 +419,7 @@ PipelineResult CellEncoder::encode(const Image& img,
     if (lossy_tail) {
       cell::StageTiming rate_t;
       rate_t.name = "rate";
+      rate_t.wall_seconds = fstats.rate_seconds;
       rate_t.ppe = static_cast<double>(fstats.rate.passes_considered) *
                    cp.ppe_rate_cycles_per_pass / cp.clock_hz;
       serial_stage(rate_t, "rate (ppe serial)");
@@ -414,6 +429,7 @@ PipelineResult CellEncoder::encode(const Image& img,
 
     cell::StageTiming t2_t;
     t2_t.name = "t2";
+    t2_t.wall_seconds = fstats.t2_seconds;
     t2_t.ppe = static_cast<double>(res.codestream.size()) *
                cp.ppe_t2_cycles_per_byte / cp.clock_hz;
     serial_stage(t2_t, "t2 (ppe serial)");

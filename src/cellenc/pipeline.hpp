@@ -8,6 +8,7 @@
 // pipeline adds is the simulated Cell timing per stage.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,6 +97,11 @@ struct PipelineResult {
   /// Simulated seconds of the named stage (0 when absent).
   double stage_seconds(const std::string& name) const;
 
+  /// The host-clock view next to wall_seconds: "wall.seconds" plus one
+  /// "wall.stage.<name>" per stage (StageTiming::wall_seconds).  Kept out
+  /// of `metrics` and the trace export, which stay deterministic.
+  std::map<std::string, double> wall_metrics() const;
+
   /// Invariant-audit ledger (enabled == false unless the run asked for it).
   cell::AuditReport audit;
 
@@ -145,7 +151,9 @@ class CellEncoder {
 /// up to (but excluding) the lossy tail / Tier-2.
 struct TileFrontResult {
   jp2k::Tile tile;
-  std::vector<cell::StageTiming> stages;  ///< read … tier1, in order.
+  /// read … tier1, in order; each stage's wall_seconds is the host time
+  /// since the previous stage finished.
+  std::vector<cell::StageTiming> stages;
   std::uint64_t t1_symbols = 0;
   double hull_extra_seconds = 0;
   double hull_serial_seconds = 0;

@@ -7,6 +7,7 @@
 
 #include "cell/trace.hpp"
 #include "common/error.hpp"
+#include "common/timer.hpp"
 #include "decomp/work_queue.hpp"
 #include "jp2k/encoder.hpp"
 #include "jp2k/t2_encoder.hpp"
@@ -59,6 +60,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
   const auto& cp = m.model().params();
   const double hz = cp.clock_hz;
   LossyTailResult res;
+  Timer wall;
 
   std::uint64_t nsegs = 0;
   for (const auto& l : hulls.worker_lists) nsegs += l.size();
@@ -127,6 +129,8 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
   };
   res.stats = jp2k::allocate_rate_across_tiles(tiles, img, params, segments,
                                                hulls.stats, sizer);
+  res.rate_timing.wall_seconds = wall.seconds();
+  wall.reset();
 
   // --- Final Tier-2 assembly.  With a rate target the last sizing pass
   // already coded the final selection, so its precinct streams are reused
@@ -464,6 +468,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
       cp.ppe_rate_cycles_per_pass / hz;
   res.serial_t2_seconds = static_cast<double>(res.codestream.size()) *
                           cp.ppe_t2_cycles_per_byte / hz;
+  res.t2_timing.wall_seconds = wall.seconds();
   return res;
 }
 

@@ -10,6 +10,7 @@
 #include "cell/trace.hpp"
 #include "cellenc/stage_rate.hpp"
 #include "common/error.hpp"
+#include "common/timer.hpp"
 #include "decomp/chunk.hpp"
 #include "decomp/work_queue.hpp"
 #include "jp2k/codestream.hpp"
@@ -258,6 +259,7 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
 
     cell::StageTiming rate_t;
     rate_t.name = "rate";
+    rate_t.wall_seconds = fstats.rate_seconds;
     rate_t.ppe = static_cast<double>(fstats.rate.passes_considered) *
                  cp.ppe_rate_cycles_per_pass / hz;
     serial_stage(rate_t, "rate (ppe serial)");
@@ -266,6 +268,7 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
 
     cell::StageTiming t2_t;
     t2_t.name = "t2";
+    t2_t.wall_seconds = fstats.t2_seconds;
     t2_t.ppe = static_cast<double>(res.codestream.size()) *
                cp.ppe_t2_cycles_per_byte / hz;
     serial_stage(t2_t, "t2 (ppe serial)");
@@ -283,6 +286,7 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
             .size();
     const std::size_t overhead =
         jp2k::tile_part_overhead_bytes(img.components(), bands);
+    Timer t2_wall;
     cell::StageTiming t2_t;
     t2_t.name = "t2";
     for (std::size_t j = 0; j < ntiles; ++j) {
@@ -310,6 +314,7 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     for (const auto& f : fronts) cptrs.push_back(&f.tile);
     res.codestream =
         jp2k::frame_codestream_tiles(cptrs, grid, img, params, packets);
+    res.stages.back().wall_seconds = t2_wall.seconds();
 
     const auto full_sched = decomp::schedule_pipeline(items, gp.groups);
     emit_waves(full_sched);

@@ -245,6 +245,12 @@ StreamHeader parse_codestream(const std::vector<std::uint8_t>& bytes,
             hdr.tile_h > hdr.height) {
           throw CodestreamError("implausible SIZ tile size");
         }
+        // Divide rather than multiply so the check itself cannot overflow.
+        const std::size_t cols = ceil_div(hdr.width, hdr.tile_w);
+        const std::size_t rows = ceil_div(hdr.height, hdr.tile_h);
+        if (cols > TileGrid::kMaxTiles / rows) {
+          throw CodestreamError("SIZ tile grid exceeds 65535 tiles");
+        }
         saw_siz = true;
         break;
       }

@@ -29,8 +29,9 @@ TileGrid TileGrid::from_tile_size(std::size_t image_w, std::size_t image_h,
   g.tile_h_ = tile_h;
   g.cols_ = ceil_div(image_w, tile_w);
   g.rows_ = ceil_div(image_h, tile_h);
-  // Isot is a 16-bit field; no real grid comes close.
-  CJ2K_CHECK_MSG(g.cols_ * g.rows_ <= 65535, "tile grid exceeds 65535 tiles");
+  // No real grid comes close; the codestream parser rejects hostile ones.
+  CJ2K_CHECK_MSG(g.cols_ * g.rows_ <= kMaxTiles,
+                 "tile grid exceeds 65535 tiles");
   return g;
 }
 

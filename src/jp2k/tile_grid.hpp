@@ -29,6 +29,8 @@ class TileGrid {
  public:
   /// Samples per cache line — the granule tile column origins snap to.
   static constexpr std::size_t kLineElems = kCacheLineBytes / sizeof(Sample);
+  /// Most tiles a grid may have: Isot is a 16-bit field.
+  static constexpr std::size_t kMaxTiles = 65535;
 
   /// Plans a grid of (at most) tiles_x × tiles_y tiles.  The nominal tile
   /// width is ceil(width / tiles_x) rounded up to a cache line of Samples

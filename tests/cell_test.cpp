@@ -2,6 +2,9 @@
 // instrumentation, cost model relations, machine timing composition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "cell/audit.hpp"
@@ -12,6 +15,7 @@
 #include "cell/simd.hpp"
 #include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace cj2k::cell {
 namespace {
@@ -363,6 +367,267 @@ TEST(DmaTags, FinishKernelWithNothingPendingIsClean) {
   dma.finish_kernel();
   EXPECT_EQ(audit.report().tag_hazards(), 0u);
   EXPECT_TRUE(audit.report().clean());
+}
+
+/// Reference hazard rules: one record per issued transfer, every query a
+/// linear scan over all of them in issue order.  The engine's bookkeeping
+/// keeps fewer records and must report exactly what this reports.
+struct HazardModel {
+  struct Rec {
+    std::size_t lo, hi;
+    unsigned tag;
+    bool is_get;
+  };
+  std::vector<Rec> pending;
+  std::uint32_t pending_mask = 0, issued_mask = 0;
+  std::uint64_t touch = 0, reuse = 0, at_exit = 0;
+  std::string first_detail;
+
+  void hazard(std::uint64_t& count, const std::string& detail) {
+    if (touch + reuse + at_exit == 0) first_detail = detail;
+    ++count;
+  }
+  void issue(std::size_t lo, std::size_t hi, unsigned tag, bool is_get,
+             bool fenced) {
+    for (const Rec& p : pending) {
+      if (lo < p.hi && p.lo < hi && !(fenced && p.tag == tag)) {
+        hazard(reuse, "tag " + std::to_string(tag) +
+                          " re-targets a Local Store range in flight on tag " +
+                          std::to_string(p.tag) + " without a same-tag fence");
+        break;
+      }
+    }
+    pending.push_back({lo, hi, tag, is_get});
+    pending_mask |= 1u << tag;
+    issued_mask |= 1u << tag;
+  }
+  void touch_range(std::size_t lo, std::size_t hi) {
+    for (const Rec& p : pending) {
+      if (lo < p.hi && p.lo < hi) {
+        hazard(touch, std::string("buffer touched while its ") +
+                          (p.is_get ? "get" : "put") + " is in flight on tag " +
+                          std::to_string(p.tag));
+        return;
+      }
+    }
+  }
+  void retire(std::uint32_t mask) {
+    std::vector<Rec> keep;
+    for (const Rec& p : pending) {
+      if ((mask & (1u << p.tag)) == 0) keep.push_back(p);
+    }
+    pending.swap(keep);
+    pending_mask &= ~mask;
+  }
+  void finish() {
+    if (pending_mask != 0) {
+      char buf[16];
+      std::snprintf(buf, sizeof(buf), "%x", pending_mask);
+      hazard(at_exit, "kernel exit with tags in flight (pending mask 0x" +
+                          std::string(buf) + ")");
+    }
+    pending.clear();
+    pending_mask = issued_mask = 0;
+  }
+};
+
+/// One random tagged-DMA command over a small set of overlapping Local
+/// Store ranges and tags 0..5.
+struct DmaCommand {
+  int kind;  ///< 0-3 get/put/getf/putf, 4 touch, 5 wait_tag,
+             ///< 6 wait_tag_mask, 7 wait_all, 8 finish_kernel.
+  std::size_t off, bytes;
+  unsigned tag;
+  std::uint32_t mask;
+};
+
+std::vector<DmaCommand> random_commands(std::uint64_t seed, int n) {
+  // Byte ranges into a 512-byte Local Store buffer, each overlapping
+  // another; line-aligned so strict mode only ever throws on tag hazards.
+  static const std::size_t kRanges[4][2] = {
+      {0, 256}, {128, 256}, {256, 256}, {0, 512}};
+  Rng rng(seed);
+  std::vector<DmaCommand> cmds;
+  for (int i = 0; i < n; ++i) {
+    DmaCommand c{};
+    // Issues twice as likely as each other command, so lists grow.
+    const auto pick = rng.next_below(13);
+    c.kind = pick < 8 ? static_cast<int>(pick / 2) : static_cast<int>(pick - 4);
+    const auto* r = kRanges[rng.next_below(4)];
+    c.off = r[0];
+    c.bytes = r[1];
+    c.tag = static_cast<unsigned>(rng.next_below(6));
+    c.mask = static_cast<std::uint32_t>(1 + rng.next_below(63));
+    cmds.push_back(c);
+  }
+  return cmds;
+}
+
+/// Runs `cmd` through both the engine and the model.  A wait the model says
+/// hits only never-issued tags must throw CellHardwareError on the engine
+/// and leaves both untouched.
+void apply(const DmaCommand& cmd, DmaEngine& dma, HazardModel& model,
+           std::uint8_t* ls, std::uint8_t* mem) {
+  const std::size_t lo = cmd.off, hi = cmd.off + cmd.bytes;
+  std::uint32_t wait_mask = 0;
+  switch (cmd.kind) {
+    case 0:
+    case 2:
+      model.issue(lo, hi, cmd.tag, /*is_get=*/true, cmd.kind == 2);
+      break;
+    case 1:
+    case 3:
+      model.issue(lo, hi, cmd.tag, /*is_get=*/false, cmd.kind == 3);
+      break;
+    case 4:
+      model.touch_range(lo, hi);
+      break;
+    case 5:
+      wait_mask = 1u << cmd.tag;
+      break;
+    case 6:
+      wait_mask = cmd.mask;
+      break;
+    case 7:
+      model.retire(~0u);
+      break;
+    default:
+      model.finish();
+      break;
+  }
+  if (wait_mask != 0 && (wait_mask & model.issued_mask) == 0) {
+    EXPECT_THROW(cmd.kind == 5 ? dma.wait_tag(cmd.tag)
+                               : dma.wait_tag_mask(wait_mask),
+                 CellHardwareError);
+    return;
+  }
+  if (wait_mask != 0) model.retire(wait_mask);
+  switch (cmd.kind) {
+    case 0: dma.get_async(ls + lo, mem + lo, cmd.bytes, cmd.tag); break;
+    case 1: dma.put_async(ls + lo, mem + lo, cmd.bytes, cmd.tag); break;
+    case 2: dma.getf_async(ls + lo, mem + lo, cmd.bytes, cmd.tag); break;
+    case 3: dma.putf_async(ls + lo, mem + lo, cmd.bytes, cmd.tag); break;
+    case 4: dma.touch(ls + lo, cmd.bytes); break;
+    case 5: dma.wait_tag(cmd.tag); break;
+    case 6: dma.wait_tag_mask(cmd.mask); break;
+    case 7: dma.wait_all(); break;
+    default: dma.finish_kernel(); break;
+  }
+}
+
+TEST(DmaTags, HazardReportsMatchTheLinearScanReference) {
+  AlignedBuffer<std::uint8_t> mem(512);
+  LocalStore ls;
+  auto* lsb = ls.alloc<std::uint8_t>(512);
+  std::size_t folded = 0;  // Commands after which the engine held fewer.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const auto cmds = random_commands(seed, 80);
+    AuditConfig cfg;
+    cfg.enabled = true;
+    OpCounters c;
+    DmaEngine dma(c);
+    InvariantAudit audit(cfg);
+    dma.attach_audit(&audit);
+    HazardModel model;
+    for (std::size_t i = 0; i < cmds.size(); ++i) {
+      apply(cmds[i], dma, model, lsb, mem.data());
+      const AuditReport r = audit.report();
+      ASSERT_EQ(r.tag_touch_before_wait, model.touch)
+          << "seed " << seed << " command " << i;
+      ASSERT_EQ(r.tag_reuse_in_flight, model.reuse)
+          << "seed " << seed << " command " << i;
+      ASSERT_EQ(r.tag_pending_at_exit, model.at_exit)
+          << "seed " << seed << " command " << i;
+      ASSERT_EQ(dma.pending_mask(), model.pending_mask);
+      ASSERT_LE(dma.pending_entries(), model.pending.size());
+      if (dma.pending_entries() < model.pending.size()) ++folded;
+    }
+
+    // Strict mode: the AuditError fires on the model's first hazard and
+    // carries its detail text.
+    cfg.strict = true;
+    OpCounters sc;
+    DmaEngine strict_dma(sc);
+    InvariantAudit strict_audit(cfg);
+    strict_dma.attach_audit(&strict_audit);
+    HazardModel strict_model;
+    for (std::size_t i = 0; i < cmds.size(); ++i) {
+      const std::uint64_t before = strict_model.touch + strict_model.reuse +
+                                   strict_model.at_exit;
+      try {
+        apply(cmds[i], strict_dma, strict_model, lsb, mem.data());
+      } catch (const AuditError& e) {
+        ASSERT_EQ(before, 0u) << "seed " << seed << " command " << i;
+        ASSERT_GT(strict_model.touch + strict_model.reuse +
+                      strict_model.at_exit,
+                  0u)
+            << "seed " << seed << " command " << i;
+        const std::string what = e.what();
+        const std::string want = ": " + strict_model.first_detail;
+        ASSERT_GE(what.size(), want.size());
+        EXPECT_EQ(what.substr(what.size() - want.size()), want)
+            << "seed " << seed;
+        break;
+      }
+      ASSERT_EQ(strict_model.touch + strict_model.reuse +
+                    strict_model.at_exit,
+                0u)
+          << "hazard not thrown: seed " << seed << " command " << i;
+    }
+  }
+  EXPECT_GT(folded, 0u);
+}
+
+TEST(DmaTags, FencedCopyChainKeepsOneRecordPerBuffer) {
+  // The read stage's shape: a fenced get->put chain over two buffers/tags
+  // with no mid-stream wait, one row per step.
+  constexpr std::size_t kRows = 10000, kRowElems = 32;
+  AlignedBuffer<std::int32_t> src(kRows * kRowElems), dst(kRows * kRowElems);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<std::int32_t>(i);
+  }
+  LocalStore ls;
+  std::int32_t* buf[2] = {ls.alloc<std::int32_t>(kRowElems),
+                          ls.alloc<std::int32_t>(kRowElems)};
+  auto copy_chain = [&](DmaEngine& dma) {
+    std::size_t most = 0;
+    for (std::size_t y = 0; y < kRows; ++y) {
+      const unsigned t = static_cast<unsigned>(y & 1);
+      dma.getf_async(buf[t], src.data() + y * kRowElems, kRowElems * 4, t);
+      dma.putf_async(buf[t], dst.data() + y * kRowElems, kRowElems * 4, t);
+      most = std::max(most, dma.pending_entries());
+    }
+    return most;
+  };
+
+  OpCounters c;
+  DmaEngine audited(c);
+  AuditConfig cfg;
+  cfg.enabled = true;
+  cfg.strict = true;
+  InvariantAudit audit(cfg);
+  audited.attach_audit(&audit);
+  EXPECT_LE(copy_chain(audited), 2u);
+  audited.wait_all();
+  audited.finish_kernel();
+  EXPECT_EQ(audit.report().tag_hazards(), 0u);
+  EXPECT_EQ(dst[kRows * kRowElems - 1], src[kRows * kRowElems - 1]);
+
+  // No audit: no records at all, while the tag masks and the hard MFC
+  // checks behave as before.
+  DmaEngine bare(c);
+  EXPECT_EQ(copy_chain(bare), 0u);
+  EXPECT_EQ(bare.pending_mask(), 3u);
+  EXPECT_EQ(bare.issued_mask(), 3u);
+  EXPECT_THROW(bare.wait_tag(2), CellHardwareError);
+  bare.wait_tag(0);
+  EXPECT_EQ(bare.pending_mask(), 2u);
+  bare.wait_all();
+  EXPECT_EQ(bare.pending_mask(), 0u);
+  EXPECT_NO_THROW(bare.wait_tag(1));
+  bare.finish_kernel();
+  EXPECT_EQ(bare.issued_mask(), 0u);
+  EXPECT_THROW(bare.wait_tag(0), CellHardwareError);
 }
 
 TEST(Simd, CountsAndComputes) {

@@ -286,6 +286,46 @@ TEST(Pipeline, StageListIsComplete) {
   EXPECT_DOUBLE_EQ(sum, res.simulated_seconds);
 }
 
+// Every stage also reports its host wall time, as "wall.stage.<name>" next
+// to "wall.seconds", on the single-tile and tiled paths and through both
+// tails; the deterministic metrics registry never sees either.
+TEST(Pipeline, ReportsPerStageWallSecondsOutsideTheMetrics) {
+  const Image img = synth::photographic(160, 128, 3, 67);
+  jp2k::CodingParams lossless;
+  jp2k::CodingParams lossy;
+  lossy.wavelet = jp2k::WaveletKind::kIrreversible97;
+  lossy.rate = 0.2;
+  jp2k::CodingParams tiled = lossy;
+  tiled.tiles_x = tiled.tiles_y = 2;
+  jp2k::CodingParams tiled_lossless = lossless;
+  tiled_lossless.tiles_x = 2;
+  for (bool parallel_tail : {true, false}) {
+    for (const jp2k::CodingParams& p :
+         {lossless, lossy, tiled, tiled_lossless}) {
+      PipelineOptions opt;
+      opt.parallel_lossy_tail = parallel_tail;
+      CellEncoder enc(config(4));
+      const auto res = enc.encode(img, p, opt);
+      const auto wall = res.wall_metrics();
+      ASSERT_EQ(wall.size(), res.stages.size() + 1);
+      EXPECT_EQ(wall.at("wall.seconds"), res.wall_seconds);
+      double stage_sum = 0;
+      for (const auto& s : res.stages) {
+        EXPECT_EQ(wall.at("wall.stage." + s.name), s.wall_seconds);
+        EXPECT_GE(s.wall_seconds, 0.0) << s.name;
+        stage_sum += s.wall_seconds;
+      }
+      EXPECT_GT(res.stages.front().wall_seconds, 0.0);
+      EXPECT_GT(res.stages.back().wall_seconds, 0.0);
+      // The stage calls are disjoint pieces of the timed encode.
+      EXPECT_LE(stage_sum, res.wall_seconds * (1 + 1e-9));
+      for (const auto& kv : res.metrics.all()) {
+        EXPECT_NE(kv.first.rfind("wall.", 0), 0u) << kv.first;
+      }
+    }
+  }
+}
+
 
 TEST(Pipeline, FixedPointLossyMatchesSerialBitExactly) {
   const Image img = synth::photographic(160, 128, 3, 67);

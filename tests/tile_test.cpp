@@ -219,6 +219,40 @@ void expect_rejects(const std::vector<std::uint8_t>& bytes,
   }
 }
 
+/// SOC + SIZ + COD + the first SOT marker, for a 1-component 8-bit image.
+std::vector<std::uint8_t> main_header(std::uint32_t w, std::uint32_t h,
+                                      std::uint32_t tw, std::uint32_t th) {
+  std::vector<std::uint8_t> b;
+  auto u8 = [&](unsigned v) { b.push_back(static_cast<std::uint8_t>(v)); };
+  auto u16 = [&](unsigned v) { u8(v >> 8); u8(v & 0xFF); };
+  auto u32 = [&](std::uint32_t v) { u16(v >> 16); u16(v & 0xFFFF); };
+  u16(0xFF4F);                                  // SOC
+  u16(0xFF51); u16(21);                         // SIZ
+  u32(w); u32(h); u16(1); u8(8); u32(tw); u32(th);
+  u16(0xFF52); u16(20);                         // COD
+  u8(0); u8(0); u16(64); u16(64); u8(0); u8(0); u8(1); u8(0);
+  for (int i = 0; i < 8; ++i) u8(0);            // base step (f64 0.0)
+  u16(0xFF90);                                  // SOT
+  return b;
+}
+
+// A SIZ whose grid has more tiles than Isot can index is a typed parse
+// error, even where cols * rows would overflow.
+TEST(TileCodec, RejectsSizWithMoreTilesThanIsotCanIndex) {
+  expect_rejects(main_header(0x7FFFFFFFu, 1, 1, 1), "65535 tiles");
+  expect_rejects(main_header(65536, 1, 1, 1), "65535 tiles");
+  expect_rejects(main_header(0xFFFFFFFFu, 0xFFFFFFFFu, 1, 1), "65535 tiles");
+  expect_rejects(main_header(256, 256, 1, 1), "65535 tiles");
+  // 65535 tiles is a legal grid: parsing gets past SIZ to the tile-parts.
+  try {
+    decode(main_header(65535, 1, 1, 1));
+    FAIL() << "a header-only stream must not decode";
+  } catch (const CodestreamError& e) {
+    EXPECT_EQ(std::string(e.what()).find("65535 tiles"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TileCodec, RejectsOutOfRangeIsot) {
   const Image img = synth::photographic(161, 117, 3, 25);
   auto bytes = tiled_stream(img);

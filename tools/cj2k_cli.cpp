@@ -311,13 +311,15 @@ int cmd_bench(const std::string& in, const std::vector<std::string>& args) {
   std::printf("simulated encode: %.2f ms (host wall %.0f ms), %zu bytes\n",
               res.simulated_seconds * 1e3, res.wall_seconds * 1e3,
               res.codestream.size());
-  std::printf("  %-18s %10s %7s %9s %9s %9s %9s %9s\n", "stage", "sim ms",
-              "occ", "busy", "dma-wait", "q-empty", "ppe-ser", "chan");
+  std::printf("  %-18s %10s %10s %7s %9s %9s %9s %9s %9s\n", "stage",
+              "sim ms", "wall ms", "occ", "busy", "dma-wait", "q-empty",
+              "ppe-ser", "chan");
   for (const auto& s : res.stages) {
     const double occ = s.seconds > 0 ? s.stall.busy / s.seconds : 0.0;
-    std::printf("  %-18s %10.3f %6.1f%% %9.3f %9.3f %9.3f %9.3f %9.3f\n",
-                s.name.c_str(), s.seconds * 1e3, occ * 100.0,
-                s.stall.busy * 1e3, s.stall.dma_wait * 1e3,
+    std::printf("  %-18s %10.3f %10.3f %6.1f%% %9.3f %9.3f %9.3f %9.3f "
+                "%9.3f\n",
+                s.name.c_str(), s.seconds * 1e3, s.wall_seconds * 1e3,
+                occ * 100.0, s.stall.busy * 1e3, s.stall.dma_wait * 1e3,
                 s.stall.queue_empty * 1e3, s.stall.ppe_serial * 1e3,
                 s.stall.channel_stall * 1e3);
   }
