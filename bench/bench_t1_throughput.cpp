@@ -1,0 +1,175 @@
+// Tier-1 EBCOT throughput on the host, single-threaded: MQ symbols per
+// second through t1_encode_block and t1_decode_block over every code block
+// of the 1586x1558 synthetic photo (9/7 lossy at rate 0.25, and 5/3
+// lossless), plus the symbol split per pass type.
+//
+// The blocks are the serial encoder's own: jp2k::build_tile codes them, a
+// full-pass decode recovers each block's quantized coefficients, and the
+// timed loops re-code those.  Before reporting, the bench asserts that the
+// re-encoded blocks are byte- and pass-identical to build_tile's and that
+// finishing the tile with them reproduces the serial jp2k::encode
+// codestream.  Like bench_native_wallclock, the figures are host wall
+// time, not simulated Cell seconds; they ride the BENCH_JSON "derived"
+// registry (t1.* keys) and sim_seconds is 0.
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <vector>
+
+#include "bench_common.hpp"
+#include "cell/metrics.hpp"
+#include "common/error.hpp"
+#include "common/timer.hpp"
+#include "jp2k/encoder.hpp"
+#include "jp2k/t1_decoder.hpp"
+#include "jp2k/t1_encoder.hpp"
+
+namespace {
+
+using namespace cj2k;
+
+struct Variant {
+  const char* label;
+  jp2k::WaveletKind wavelet;
+  double rate;
+  int layers;
+};
+
+constexpr Variant kVariants[] = {
+    {"lossy 9/7 rate 0.25", jp2k::WaveletKind::kIrreversible97, 0.25, 3},
+    {"lossless 5/3", jp2k::WaveletKind::kReversible53, 0.0, 1},
+};
+
+/// One code block as the timed loops see it.
+struct Block {
+  jp2k::CodeBlock* cb;
+  jp2k::SubbandOrient orient;
+  std::vector<Sample> coeffs;
+};
+
+bool same_passes(const jp2k::T1EncodedBlock& a, const jp2k::T1EncodedBlock& b) {
+  if (a.data != b.data || a.passes.size() != b.passes.size() ||
+      a.num_bitplanes != b.num_bitplanes ||
+      a.total_symbols != b.total_symbols) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.passes.size(); ++i) {
+    const jp2k::PassInfo& p = a.passes[i];
+    const jp2k::PassInfo& q = b.passes[i];
+    if (p.type != q.type || p.bitplane != q.bitplane ||
+        p.trunc_len != q.trunc_len || p.symbols != q.symbols ||
+        std::memcmp(&p.dist_reduction, &q.dist_reduction,
+                    sizeof p.dist_reduction) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void run_variant(const Variant& v, const Image& img, int reps) {
+  jp2k::CodingParams p;
+  p.wavelet = v.wavelet;
+  p.rate = v.rate;
+  p.layers = v.layers;
+  const std::vector<std::uint8_t> serial = jp2k::encode(img, p);
+
+  jp2k::Tile tile = jp2k::build_tile(img, p);
+  std::vector<Block> blocks;
+  for (auto& tc : tile.components) {
+    for (auto& sb : tc.subbands) {
+      for (auto& cb : sb.blocks) {
+        Block b{&cb, sb.info.orient, std::vector<Sample>(cb.w * cb.h)};
+        jp2k::t1_decode_block(
+            cb.enc.data.data(), cb.enc.data.size(), cb.enc.num_bitplanes,
+            static_cast<int>(cb.enc.passes.size()), b.orient,
+            Span2d<Sample>(b.coeffs.data(), cb.w, cb.h), p.t1);
+        blocks.push_back(std::move(b));
+      }
+    }
+  }
+
+  std::vector<jp2k::T1EncodedBlock> coded(blocks.size());
+  double enc_s = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    Timer t;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const Block& b = blocks[i];
+      coded[i] = jp2k::t1_encode_block(
+          Span2d<const Sample>(b.coeffs.data(), b.cb->w, b.cb->h), b.orient,
+          p.t1);
+    }
+    const double s = t.seconds();
+    enc_s = r == 0 ? s : std::min(enc_s, s);
+  }
+
+  std::vector<Sample> scratch;
+  double dec_s = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    Timer t;
+    for (const Block& b : blocks) {
+      const jp2k::T1EncodedBlock& e = b.cb->enc;
+      scratch.resize(b.coeffs.size());
+      jp2k::t1_decode_block(e.data.data(), e.data.size(), e.num_bitplanes,
+                            static_cast<int>(e.passes.size()), b.orient,
+                            Span2d<Sample>(scratch.data(), b.cb->w, b.cb->h),
+                            p.t1);
+    }
+    const double s = t.seconds();
+    dec_s = r == 0 ? s : std::min(dec_s, s);
+  }
+
+  // Byte identity: every re-encoded block, then the whole codestream.
+  std::uint64_t symbols = 0;
+  std::uint64_t by_type[3] = {0, 0, 0};
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    CJ2K_CHECK_MSG(same_passes(coded[i], blocks[i].cb->enc),
+                   "re-encoded block differs from the serial encoder's");
+    symbols += coded[i].total_symbols;
+    for (const jp2k::PassInfo& pi : coded[i].passes) {
+      by_type[static_cast<int>(pi.type)] += pi.symbols;
+    }
+    blocks[i].cb->enc = std::move(coded[i]);
+  }
+  CJ2K_CHECK_MSG(jp2k::finish_tile(tile, img, p) == serial,
+                 "codestream from re-encoded blocks differs from the serial "
+                 "encode");
+
+  const double msym = static_cast<double>(symbols) / 1e6;
+  const double share = symbols ? 100.0 / static_cast<double>(symbols) : 0.0;
+  std::printf("  %-20s %7zu blocks %9.2f Msym  encode %8.2f ms %7.2f Msym/s"
+              "  decode %8.2f ms %7.2f Msym/s\n",
+              v.label, blocks.size(), msym, enc_s * 1e3, msym / enc_s,
+              dec_s * 1e3, msym / dec_s);
+  std::printf("  %-20s symbols by pass: significance %.1f%%  refinement "
+              "%.1f%%  cleanup %.1f%%\n",
+              "", static_cast<double>(by_type[0]) * share,
+              static_cast<double>(by_type[1]) * share,
+              static_cast<double>(by_type[2]) * share);
+
+  cell::MetricsRegistry m;
+  m.set("t1.symbols", static_cast<double>(symbols));
+  m.set("t1.symbols.significance", static_cast<double>(by_type[0]));
+  m.set("t1.symbols.refinement", static_cast<double>(by_type[1]));
+  m.set("t1.symbols.cleanup", static_cast<double>(by_type[2]));
+  m.set("t1.encode_seconds", enc_s);
+  m.set("t1.decode_seconds", dec_s);
+  m.set("t1.encode_msym_per_s", msym / enc_s);
+  m.set("t1.decode_msym_per_s", msym / dec_s);
+  bench::emit_json_metrics("t1_throughput", v.label, 0.0, m);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bench::Workload wl = bench::parse_workload(argc, argv);
+  const int reps = 3;
+  bench::print_header(
+      "Tier-1 EBCOT throughput: host MQ symbols per second, one thread",
+      "beyond the paper; the Tier-1 work queue's per-block kernel");
+  const Image img = bench::paper_image(wl);
+  std::printf("  Workload: synthetic photo %zux%zu RGB, 5 levels, 64x64 "
+              "blocks; best of %d runs\n",
+              img.width(), img.height(), reps);
+  for (const Variant& v : kVariants) run_variant(v, img, reps);
+  return 0;
+}

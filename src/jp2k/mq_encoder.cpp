@@ -4,89 +4,26 @@
 
 namespace cj2k::jp2k {
 
-void MqEncoder::reset() {
-  c_ = 0;
-  a_ = 0x8000;
-  ct_ = 12;
-  flushed_ = false;
-  decisions_ = 0;
-  out_.clear();
+namespace {
+/// Initial output storage, placeholder byte included; doubled when full.
+constexpr std::size_t kInitialBytes = 256;
+}  // namespace
+
+MqEncoder::MqEncoder(std::vector<std::uint8_t>& out) : out_(&out) {
+  out.assign(kInitialBytes, 0);
+  bp_ = out.data();
+  end_ = out.data() + out.size();
 }
 
-void MqEncoder::encode(MqContext& cx, int d) {
-  CJ2K_DCHECK(!flushed_);
-  ++decisions_;
-  const MqStateRow& st = kMqTable[cx.index];
-  const std::uint32_t qe = st.qe;
-
-  if (d == cx.mps) {
-    // CODEMPS (Annex C, Figure C.7).
-    a_ -= qe;
-    if ((a_ & 0x8000) == 0) {
-      if (a_ < qe) {
-        a_ = qe;
-      } else {
-        c_ += qe;
-      }
-      cx.index = st.nmps;
-      renorm();
-    } else {
-      c_ += qe;
-    }
-  } else {
-    // CODELPS (Annex C, Figure C.6).
-    a_ -= qe;
-    if (a_ < qe) {
-      c_ += qe;
-    } else {
-      a_ = qe;
-    }
-    if (st.sw) cx.mps ^= 1;
-    cx.index = st.nlps;
-    renorm();
-  }
-}
-
-void MqEncoder::renorm() {
-  do {
-    a_ <<= 1;
-    c_ <<= 1;
-    if (--ct_ == 0) byteout();
-  } while ((a_ & 0x8000) == 0);
-}
-
-void MqEncoder::byteout() {
-  // Annex C, Figure C.8.  `out_.back()` plays the role of register B.
-  if (!out_.empty() && out_.back() == 0xFF) {
-    // Bit stuffing after an 0xFF byte: only 7 bits go out.
-    out_.push_back(static_cast<std::uint8_t>(c_ >> 20));
-    c_ &= 0xFFFFF;
-    ct_ = 7;
-    return;
-  }
-  if (c_ < 0x8000000 || out_.empty()) {
-    // No carry (the carry bit cannot be set before the first byte is out).
-    out_.push_back(static_cast<std::uint8_t>(c_ >> 19));
-    c_ &= 0x7FFFF;
-    ct_ = 8;
-    return;
-  }
-  // Propagate the carry into the previous byte.
-  out_.back() = static_cast<std::uint8_t>(out_.back() + 1);
-  if (out_.back() == 0xFF) {
-    c_ &= 0x7FFFFFF;
-    out_.push_back(static_cast<std::uint8_t>(c_ >> 20));
-    c_ &= 0xFFFFF;
-    ct_ = 7;
-  } else {
-    out_.push_back(static_cast<std::uint8_t>(c_ >> 19));
-    c_ &= 0x7FFFF;
-    ct_ = 8;
-  }
+std::pair<std::uint8_t*, std::uint8_t*> MqEncoder::grow(
+    std::vector<std::uint8_t>& out, std::uint8_t* bp) {
+  const auto used = static_cast<std::size_t>(bp - out.data());
+  out.resize(2 * out.size());
+  return {out.data() + used, out.data() + out.size()};
 }
 
 void MqEncoder::flush() {
-  CJ2K_CHECK_MSG(!flushed_, "MQ encoder flushed twice");
+  CJ2K_CHECK_MSG(bp_ != nullptr, "MQ encoder flushed twice");
   // SETBITS (Figure C.9): fill C with as many 1 bits as possible without
   // leaving the final interval.
   const std::uint32_t tempc = c_ + a_;
@@ -99,17 +36,13 @@ void MqEncoder::flush() {
   byteout();
 
   // A terminated segment must not end in 0xFF (it would look like a marker).
-  while (!out_.empty() && out_.back() == 0xFF) out_.pop_back();
-  flushed_ = true;
-}
-
-std::size_t MqEncoder::truncation_length() const {
-  // Everything already emitted plus the up-to-27 bits buffered in C and the
-  // interval information in A.  The standard's simple conservative bound:
-  // bytes_out + ceil((27 - ct) / 8) + 1 extra byte of slack.  We use the
-  // tighter and common "bp + 3" style bound relative to emitted bytes.
-  const std::size_t pending_bits = static_cast<std::size_t>(27 - ct_);
-  return out_.size() + (pending_bits + 7) / 8 + 1;
+  std::uint8_t* const first = out_->data() + 1;
+  while (bp_ >= first && *bp_ == 0xFF) --bp_;
+  // An exact-size copy without the placeholder B; the working storage
+  // (up to twice the codeword) goes.
+  *out_ = std::vector<std::uint8_t>(first, bp_ + 1);
+  bp_ = nullptr;
+  end_ = nullptr;
 }
 
 }  // namespace cj2k::jp2k

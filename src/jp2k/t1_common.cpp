@@ -74,17 +74,53 @@ ScLookup sc_lookup(int hc, int vc) {
   return {kCtxScBase + 4, 1};
 }
 
+const T1Tables& t1_tables() {
+  static const T1Tables tables = [] {
+    T1Tables t{};
+    const auto bit = [](unsigned i, std::uint16_t b) {
+      return (i & b) != 0 ? 1 : 0;
+    };
+    for (unsigned i = 0; i < 256; ++i) {
+      const int h = bit(i, kNbW) + bit(i, kNbE);
+      const int v = bit(i, kNbN) + bit(i, kNbS);
+      const int d = bit(i, kNbNW) + bit(i, kNbNE) + bit(i, kNbSW) +
+                    bit(i, kNbSE);
+      for (int o = 0; o < 4; ++o) {
+        t.zc[o][i] = static_cast<std::uint8_t>(
+            zc_context(static_cast<SubbandOrient>(o), h, v, d));
+      }
+      // Index i holds lane bits 4..11: N, S, W, E significance, then the
+      // same four neighbours' signs.
+      const auto contrib = [&](std::uint16_t nb, std::uint16_t sgn) {
+        if (!bit(i, static_cast<std::uint16_t>(nb >> 4))) return 0;
+        return bit(i, static_cast<std::uint16_t>(sgn >> 4)) ? -1 : 1;
+      };
+      const int hc = std::clamp(contrib(kNbW, kSgnW) + contrib(kNbE, kSgnE),
+                                -1, 1);
+      const int vc = std::clamp(contrib(kNbN, kSgnN) + contrib(kNbS, kSgnS),
+                                -1, 1);
+      const ScLookup sc = sc_lookup(hc, vc);
+      t.sc[i] = static_cast<std::uint8_t>(sc.context | (sc.xor_bit << 7));
+    }
+    return t;
+  }();
+  return tables;
+}
+
 std::uint32_t block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
                             T1Flags* flags) {
   const std::size_t w = coeffs.width();
   std::uint32_t maxmag = 0;
   for (std::size_t y = 0; y < coeffs.height(); ++y) {
     const Sample* row = coeffs.row(y);
+    std::uint64_t* col = mag ? flags->column(y / kStripeHeight, 0) : nullptr;
+    const std::uint64_t sign =
+        std::uint64_t{kFlagSign} << (16 * (y % kStripeHeight));
     for (std::size_t x = 0; x < w; ++x) {
       const auto m = static_cast<std::uint32_t>(std::abs(row[x]));
       if (mag) {
         mag[y * w + x] = m;
-        if (row[x] < 0) flags->at(y, x) |= kFlagSign;
+        if (row[x] < 0) col[x] |= sign;
       }
       maxmag = std::max(maxmag, m);
     }

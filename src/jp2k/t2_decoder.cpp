@@ -117,10 +117,18 @@ std::size_t t2_decode(const std::uint8_t* data, std::size_t size,
             contributes = bst.incl.decode(br, cb.gx, cb.gy, layer + 1);
             if (!contributes) continue;
             int zb = 0;
-            while (!bst.imsb.decode(br, cb.gx, cb.gy, zb + 1)) ++zb;
+            while (!bst.imsb.decode(br, cb.gx, cb.gy, zb + 1)) {
+              if (++zb > sb->band_numbps) {
+                throw CodestreamError(
+                    "negative bit-plane count in packet header");
+              }
+            }
             cb.enc.num_bitplanes = sb->band_numbps - zb;
-            CJ2K_CHECK_MSG(cb.enc.num_bitplanes >= 0,
-                           "negative bit-plane count in packet header");
+            // Magnitudes are 32-bit sign-magnitude: at most 31 planes,
+            // although QCD can announce up to 38.
+            if (cb.enc.num_bitplanes > 31) {
+              throw CodestreamError("bit-plane count over 31 in packet header");
+            }
             st.included_before = true;
           } else {
             contributes = br.get_bit() != 0;
@@ -129,6 +137,9 @@ std::size_t t2_decode(const std::uint8_t* data, std::size_t size,
 
           const int npasses = get_npasses(br);
           st.passes_so_far += npasses;
+          if (st.passes_so_far > 1 + 3 * (cb.enc.num_bitplanes - 1)) {
+            throw CodestreamError("pass count exceeds the block's bit planes");
+          }
           cb.included_passes = st.passes_so_far;
 
           int extra = 0;
@@ -136,7 +147,9 @@ std::size_t t2_decode(const std::uint8_t* data, std::size_t size,
           st.lblock += extra;
           const int bits =
               st.lblock + floor_log2(static_cast<std::uint32_t>(npasses));
-          CJ2K_CHECK_MSG(bits <= 32, "implausible segment length width");
+          if (bits > 32) {
+            throw CodestreamError("implausible segment length width");
+          }
           const std::size_t len = br.get_bits(bits);
           pending.push_back({&cb, len});
         }
@@ -145,7 +158,9 @@ std::size_t t2_decode(const std::uint8_t* data, std::size_t size,
       pos += br.position();
 
       for (const auto& pb : pending) {
-        CJ2K_CHECK_MSG(pos + pb.len <= size, "packet body truncated");
+        if (pb.len > size - pos) {
+          throw CodestreamError("packet body truncated");
+        }
         pb.cb->enc.data.insert(pb.cb->enc.data.end(), data + pos,
                                data + pos + pb.len);
         pb.cb->included_len = pb.cb->enc.data.size();

@@ -35,10 +35,14 @@ void BitWriter::flush() {
 
 int BitReader::get_bit() {
   if (nbits_ == 0) {
-    CJ2K_CHECK_MSG(pos_ < size_, "bit reader ran past end of header");
+    if (pos_ >= size_) {
+      throw CodestreamError("bit reader ran past end of header");
+    }
     const std::uint8_t byte = data_[pos_++];
     if (prev_ff_) {
-      CJ2K_CHECK_MSG((byte & 0x80) == 0, "missing stuffed zero after 0xFF");
+      if (byte & 0x80) {
+        throw CodestreamError("missing stuffed zero after 0xFF");
+      }
       acc_ = byte;
       nbits_ = 7;
     } else {
@@ -62,7 +66,9 @@ void BitReader::align() {
   nbits_ = 0;
   if (prev_ff_) {
     // The writer appended a stuffed 0x00 after a trailing 0xFF.
-    CJ2K_CHECK_MSG(pos_ < size_, "missing pad byte after trailing 0xFF");
+    if (pos_ >= size_) {
+      throw CodestreamError("missing pad byte after trailing 0xFF");
+    }
     ++pos_;
   }
   prev_ff_ = false;
