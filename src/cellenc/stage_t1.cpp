@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
-#include <thread>
 
 #include "cell/trace.hpp"
 #include "common/error.hpp"
+#include "decomp/host_pool.hpp"
 #include "decomp/work_queue.hpp"
 #include "jp2k/ht_block.hpp"
 #include "jp2k/t1_encoder.hpp"
@@ -50,56 +49,39 @@ T1StageResult stage_t1(cell::Machine& m, jp2k::Tile& tile,
     }
   }
 
-  // Host-parallel encode through a real work queue.  Each worker keeps a
-  // private hull-segment list (sorted at drain time) so hull construction
-  // needs no synchronization and overlaps blocks still being T1-coded.
-  decomp::WorkQueue queue(blocks.size());
-  const unsigned host_threads =
-      std::max(1u, std::thread::hardware_concurrency());
+  // Host-parallel encode on the shared pool's work queue.  Each slot keeps
+  // a private hull-segment list (sorted once the blocks are done) so hull
+  // construction needs no synchronization and overlaps blocks still being
+  // T1-coded; the rate stage's merge orders segments by a total tiebreak, so
+  // the number of lists never shows in the output.
+  const std::size_t slots = decomp::host_slots();
   if (hulls) {
-    hulls->worker_lists.assign(host_threads, {});
+    hulls->worker_lists.assign(slots, {});
     hulls->stats = {};
   }
-  std::vector<jp2k::RateControlStats> worker_stats(host_threads);
-  std::vector<std::thread> pool;
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  auto worker = [&](unsigned t) {
-    try {
-      std::size_t idx;
-      while (queue.pop(idx)) {
-        BlockRef& br = blocks[idx];
-        const auto view = coeff_planes[br.component].subview(
-            br.sb->info.x0 + br.cb->x0, br.sb->info.y0 + br.cb->y0, br.cb->w,
-            br.cb->h);
-        br.cb->enc = coder == jp2k::BlockCoder::kHt
-                         ? jp2k::ht_encode_block(view)
-                         : jp2k::t1_encode_block(view, br.sb->info.orient,
-                                                 t1opt);
-        br.cb->include_all();
-        if (hulls) {
-          jp2k::build_block_hull(*br.cb, br.hull_weight,
-                                 hulls->ordinal_base + idx,
-                                 hulls->worker_lists[t], &worker_stats[t]);
-        }
-      }
-      if (hulls) {
-        std::sort(hulls->worker_lists[t].begin(),
-                  hulls->worker_lists[t].end(), jp2k::hull_segment_before);
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
+  std::vector<jp2k::RateControlStats> slot_stats(slots);
+  decomp::parallel_for(blocks.size(), [&](std::size_t idx, std::size_t slot) {
+    BlockRef& br = blocks[idx];
+    const auto view = coeff_planes[br.component].subview(
+        br.sb->info.x0 + br.cb->x0, br.sb->info.y0 + br.cb->y0, br.cb->w,
+        br.cb->h);
+    br.cb->enc = coder == jp2k::BlockCoder::kHt
+                     ? jp2k::ht_encode_block(view)
+                     : jp2k::t1_encode_block(view, br.sb->info.orient, t1opt);
+    br.cb->include_all();
+    if (hulls) {
+      jp2k::build_block_hull(*br.cb, br.hull_weight, hulls->ordinal_base + idx,
+                             hulls->worker_lists[slot], &slot_stats[slot]);
     }
-  };
-  for (unsigned t = 1; t < host_threads; ++t) pool.emplace_back(worker, t);
-  worker(0);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  });
   if (hulls) {
-    for (const auto& ws : worker_stats) {
-      hulls->stats.passes_considered += ws.passes_considered;
-      hulls->stats.hull_points += ws.hull_points;
+    decomp::parallel_for(slots, [&](std::size_t s, std::size_t) {
+      std::sort(hulls->worker_lists[s].begin(), hulls->worker_lists[s].end(),
+                jp2k::hull_segment_before);
+    });
+    for (const auto& ss : slot_stats) {
+      hulls->stats.passes_considered += ss.passes_considered;
+      hulls->stats.hull_points += ss.hull_points;
     }
   }
 

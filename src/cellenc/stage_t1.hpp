@@ -37,8 +37,9 @@ struct HullCapture {
   /// the preceding tiles, index order) — keeps the global slope order a
   /// strict total order across a multi-tile merge.
   std::uint64_t ordinal_base = 0;
-  /// Out: per-worker segment lists, each sorted by hull_segment_before —
-  /// ready for the PPE's k-way merge (cellenc/stage_rate).
+  /// Out: one segment list per host pool slot, each sorted by
+  /// hull_segment_before — ready for the PPE's k-way merge
+  /// (cellenc/stage_rate).
   std::vector<std::vector<jp2k::HullSegment>> worker_lists;
   /// Out: hull-building counters (passes_considered / hull_points).
   jp2k::RateControlStats stats;
@@ -60,9 +61,10 @@ struct T1StageResult {
 
 /// Encodes every code block of every subband of the tile (coefficients are
 /// read from `coeff_planes[c]`), filling the tile's CodeBlock::enc fields.
-/// Host execution is multithreaded; simulated time replays the chosen
-/// distribution policy over the per-block symbol counts.  With `hulls`,
-/// each worker also builds the blocks' R-D hulls (see above).
+/// Host execution runs on the shared host pool (decomp/host_pool.hpp);
+/// simulated time replays the chosen distribution policy over the
+/// per-block symbol counts.  With `hulls`, each worker also builds the
+/// blocks' R-D hulls (see above).
 ///
 /// `coder` selects the block backend: EBCOT (per-MQ-symbol replay costs)
 /// or the Part-15 HT cleanup pass (per-sample costs; ht_block.hpp).  HT

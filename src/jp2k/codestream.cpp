@@ -79,8 +79,9 @@ class ByteReader {
     return v;
   }
   std::size_t pos() const { return pos_; }
+  /// Seeks are to ends of segments whose lengths come from the stream.
   void seek(std::size_t p) {
-    CJ2K_CHECK_MSG(p <= n_, "seek past end of codestream");
+    if (p > n_) throw CodestreamError("marker segment runs past end of stream");
     pos_ = p;
   }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "decomp/host_pool.hpp"
 #include "jp2k/codestream.hpp"
 #include "jp2k/dwt2d.hpp"
 #include "jp2k/ht_block.hpp"
@@ -18,6 +20,9 @@ namespace cj2k::jp2k {
 
 namespace {
 
+/// Rows per task of the final colour stage.
+constexpr std::size_t kColorBandRows = 16;
+
 /// Rebuilds one tile's skeleton (geometry + the tile-part's QCD metadata)
 /// for the T2 decoder to fill in.
 Tile make_skeleton(const StreamHeader& hdr, const TilePart& part,
@@ -30,9 +35,13 @@ Tile make_skeleton(const StreamHeader& hdr, const TilePart& part,
   for (std::size_t c = 0; c < hdr.components; ++c) {
     TileComponent tc;
     const auto layout = subband_layout(tile_w, tile_h, hdr.params.levels);
-    CJ2K_CHECK_MSG(c < part.band_meta.size() &&
-                       part.band_meta[c].size() == layout.size(),
-                   "QCD band metadata does not match geometry");
+    // The parser guarantees one QCD entry per component; the band count is
+    // only known against the tile's geometry, so a hostile QCD that drops
+    // or adds a band is caught here.
+    if (part.band_meta[c].size() != layout.size()) {
+      throw CodestreamError("QCD band count does not match the tile's " +
+                            std::to_string(layout.size()) + " subbands");
+    }
     for (std::size_t b = 0; b < layout.size(); ++b) {
       Subband sb;
       sb.info = layout[b];
@@ -67,6 +76,15 @@ void decode_block(const StreamHeader& hdr, const Subband& sb,
 
 /// Decodes one tile-part into a tile-sized image (all paths are tile-local
 /// — inverse DWT, dequantization, and MCT never cross tile boundaries).
+///
+/// Three data-parallel phases on the host pool (DESIGN.md §15), each a pure
+/// function of its inputs, so the image never depends on the core count:
+///  1. Tier-1: the code blocks of every component as one flat list.  A 5/3
+///     block decodes in place into its component's output plane; a 9/7 block
+///     decodes into its slot's scratch and is dequantized straight into the
+///     component's float plane (or, in Q13, into the output plane).
+///  2. One inverse DWT per component.
+///  3. Inverse RCT/ICT, level shift and clamp over bands of rows.
 Image decode_tile(const StreamHeader& hdr, const TilePart& part,
                   std::size_t tile_w, std::size_t tile_h,
                   const std::vector<std::uint8_t>& bytes, int max_layers) {
@@ -80,142 +98,122 @@ Image decode_tile(const StreamHeader& hdr, const TilePart& part,
 
   const std::size_t w = tile_w;
   const std::size_t h = tile_h;
+  const std::size_t ncomp = hdr.components;
   const unsigned depth = hdr.bit_depth;
-  const bool color = hdr.params.mct && hdr.components >= 3;
+  const int levels = hdr.params.levels;
+  const bool color = hdr.params.mct && ncomp >= 3;
+  const bool reversible = hdr.params.wavelet == WaveletKind::kReversible53;
+  const bool fixed = !reversible && hdr.params.fixed_point_97;
 
-  Image img(w, h, hdr.components, depth);
+  // The 5/3 and Q13 coefficients live in the output planes themselves; the
+  // float 9/7 path needs its own planes (same stride as the output).
+  Image img(w, h, ncomp, depth);
+  const std::size_t stride = img.plane(0).stride();
+  std::vector<std::vector<float>> fplanes(reversible || fixed ? 0 : ncomp);
+  for (auto& f : fplanes) f.assign(stride * h, 0.0f);
 
-  if (hdr.params.wavelet == WaveletKind::kReversible53) {
-    std::vector<Plane> work;
-    for (std::size_t c = 0; c < hdr.components; ++c) {
-      Plane plane(w, h);
-      auto view = plane.view();
-      for (auto& sb : tile.components[c].subbands) {
-        for (auto& cb : sb.blocks) {
-          auto dst = view.subview(sb.info.x0 + cb.x0, sb.info.y0 + cb.y0,
-                                  cb.w, cb.h);
-          decode_block(hdr, sb, cb, dst);
-        }
-      }
-      inverse53(view, hdr.params.levels);
-      work.push_back(std::move(plane));
-    }
-    for (std::size_t y = 0; y < h; ++y) {
-      if (color) {
-        rct_inverse_row(work[0].row(y), work[1].row(y), work[2].row(y), w);
-      }
-      for (std::size_t c = 0; c < hdr.components; ++c) {
-        level_unshift_row(work[c].row(y), w, depth);
-        std::copy_n(work[c].row(y), w, img.plane(c).row(y));
-      }
-    }
-  } else if (hdr.params.fixed_point_97) {
-    // Fixed-point lossy path (mirrors the fixed encoder).
-    std::vector<Plane> fx;
-    Plane qplane(w, h);
-    for (std::size_t c = 0; c < hdr.components; ++c) {
-      fx.emplace_back(w, h);
-      auto qview = qplane.view();
-      for (auto& sb : tile.components[c].subbands) {
-        for (auto& cb : sb.blocks) {
-          auto dst = qview.subview(sb.info.x0 + cb.x0, sb.info.y0 + cb.y0,
-                                   cb.w, cb.h);
-          decode_block(hdr, sb, cb, dst);
-        }
-        for (std::size_t y = 0; y < sb.info.h; ++y) {
-          dequantize_fixed_row(qplane.row(sb.info.y0 + y) + sb.info.x0,
-                               fx[c].row(sb.info.y0 + y) + sb.info.x0,
-                               sb.info.w, sb.quant_step);
-        }
-      }
-      inverse97_fixed(fx[c].view(), hdr.params.levels);
-    }
-    const Sample off = Sample{1} << (depth - 1);
-    const Sample hi = (Sample{1} << depth) - 1;
-    std::vector<Sample> r(w), g(w), b(w);
-    for (std::size_t y = 0; y < h; ++y) {
-      if (color) {
-        ict_inverse_row_fixed(fx[0].row(y), fx[1].row(y), fx[2].row(y),
-                              r.data(), g.data(), b.data(), w);
-        for (std::size_t x = 0; x < w; ++x) {
-          img.plane(0).row(y)[x] = std::clamp<Sample>(r[x] + off, 0, hi);
-          img.plane(1).row(y)[x] = std::clamp<Sample>(g[x] + off, 0, hi);
-          img.plane(2).row(y)[x] = std::clamp<Sample>(b[x] + off, 0, hi);
-        }
-        for (std::size_t c = 3; c < hdr.components; ++c) {
-          fixed_to_int_row(fx[c].row(y), r.data(), w);
-          Sample* dst = img.plane(c).row(y);
-          for (std::size_t x = 0; x < w; ++x) {
-            dst[x] = std::clamp<Sample>(r[x] + off, 0, hi);
-          }
-        }
-      } else {
-        for (std::size_t c = 0; c < hdr.components; ++c) {
-          fixed_to_int_row(fx[c].row(y), r.data(), w);
-          Sample* dst = img.plane(c).row(y);
-          for (std::size_t x = 0; x < w; ++x) {
-            dst[x] = std::clamp<Sample>(r[x] + off, 0, hi);
-          }
-        }
-      }
-    }
-  } else {
-    const std::size_t stride = img.plane(0).stride();
-    std::vector<std::vector<float>> fplanes(hdr.components);
-    Plane qplane(w, h);
-    for (std::size_t c = 0; c < hdr.components; ++c) {
-      fplanes[c].assign(stride * h, 0.0f);
-      Span2d<float> fview(fplanes[c].data(), w, h, stride);
-      auto qview = qplane.view();
-      for (auto& sb : tile.components[c].subbands) {
-        for (auto& cb : sb.blocks) {
-          auto dst = qview.subview(sb.info.x0 + cb.x0, sb.info.y0 + cb.y0,
-                                   cb.w, cb.h);
-          decode_block(hdr, sb, cb, dst);
-        }
-        dequantize(
-            qview.subview(sb.info.x0, sb.info.y0, sb.info.w, sb.info.h),
-            fview.subview(sb.info.x0, sb.info.y0, sb.info.w, sb.info.h),
-            sb.quant_step);
-      }
-      inverse97(fview, hdr.params.levels);
-    }
-    const float off = static_cast<float>(Sample{1} << (depth - 1));
-    const Sample hi = (Sample{1} << depth) - 1;
-    std::vector<Sample> r(w), g(w), b(w);
-    for (std::size_t y = 0; y < h; ++y) {
-      if (color) {
-        ict_inverse_row(&fplanes[0][y * stride], &fplanes[1][y * stride],
-                        &fplanes[2][y * stride], r.data(), g.data(), b.data(),
-                        w);
-        for (std::size_t x = 0; x < w; ++x) {
-          img.plane(0).row(y)[x] = std::clamp<Sample>(
-              r[x] + static_cast<Sample>(off), 0, hi);
-          img.plane(1).row(y)[x] = std::clamp<Sample>(
-              g[x] + static_cast<Sample>(off), 0, hi);
-          img.plane(2).row(y)[x] = std::clamp<Sample>(
-              b[x] + static_cast<Sample>(off), 0, hi);
-        }
-        for (std::size_t c = 3; c < hdr.components; ++c) {
-          const float* src = &fplanes[c][y * stride];
-          Sample* dst = img.plane(c).row(y);
-          for (std::size_t x = 0; x < w; ++x) {
-            dst[x] = std::clamp<Sample>(
-                static_cast<Sample>(std::lround(src[x] + off)), 0, hi);
-          }
-        }
-      } else {
-        for (std::size_t c = 0; c < hdr.components; ++c) {
-          const float* src = &fplanes[c][y * stride];
-          Sample* dst = img.plane(c).row(y);
-          for (std::size_t x = 0; x < w; ++x) {
-            dst[x] = std::clamp<Sample>(
-                static_cast<Sample>(std::lround(src[x] + off)), 0, hi);
-          }
-        }
-      }
+  struct BlockRef {
+    const Subband* sb;
+    const CodeBlock* cb;
+    std::size_t component;
+  };
+  std::vector<BlockRef> blocks;
+  for (std::size_t c = 0; c < ncomp; ++c) {
+    for (const auto& sb : tile.components[c].subbands) {
+      for (const auto& cb : sb.blocks) blocks.push_back({&sb, &cb, c});
     }
   }
+  std::vector<std::vector<Sample>> scratch(decomp::host_slots());
+  decomp::parallel_for(blocks.size(), [&](std::size_t i, std::size_t slot) {
+    const BlockRef& br = blocks[i];
+    const std::size_t bw = br.cb->w;
+    const std::size_t bh = br.cb->h;
+    const std::size_t x0 = br.sb->info.x0 + br.cb->x0;
+    const std::size_t y0 = br.sb->info.y0 + br.cb->y0;
+    Plane& out = img.plane(br.component);
+    if (reversible) {
+      decode_block(hdr, *br.sb, *br.cb, out.view().subview(x0, y0, bw, bh));
+      return;
+    }
+    std::vector<Sample>& buf = scratch[slot];
+    if (buf.size() < bw * bh) buf.resize(bw * bh);
+    decode_block(hdr, *br.sb, *br.cb, Span2d<Sample>(buf.data(), bw, bh));
+    const double step = br.sb->quant_step;
+    for (std::size_t y = 0; y < bh; ++y) {
+      const Sample* q = buf.data() + y * bw;
+      if (fixed) {
+        dequantize_fixed_row(q, out.row(y0 + y) + x0, bw, step);
+      } else {
+        dequantize_row(q, fplanes[br.component].data() + (y0 + y) * stride + x0,
+                       bw, step);
+      }
+    }
+  });
+
+  decomp::parallel_for(ncomp, [&](std::size_t c, std::size_t) {
+    if (reversible) {
+      inverse53(img.plane(c).view(), levels);
+    } else if (fixed) {
+      inverse97_fixed(img.plane(c).view(), levels);
+    } else {
+      inverse97(Span2d<float>(fplanes[c].data(), w, h, stride), levels);
+    }
+  });
+
+  const Sample off = Sample{1} << (depth - 1);
+  const Sample hi = (Sample{1} << depth) - 1;
+  const auto clamp_row = [&](const Sample* src, Sample* dst) {
+    for (std::size_t x = 0; x < w; ++x) {
+      dst[x] = std::clamp<Sample>(src[x] + off, 0, hi);
+    }
+  };
+  const std::size_t nbands = (h + kColorBandRows - 1) / kColorBandRows;
+  decomp::parallel_for(nbands, [&](std::size_t band, std::size_t) {
+    const std::size_t y_end = std::min(h, (band + 1) * kColorBandRows);
+    std::vector<Sample> r(w), g(w), b(w);
+    for (std::size_t y = band * kColorBandRows; y < y_end; ++y) {
+      if (reversible) {
+        if (color) {
+          rct_inverse_row(img.plane(0).row(y), img.plane(1).row(y),
+                          img.plane(2).row(y), w);
+        }
+        for (std::size_t c = 0; c < ncomp; ++c) {
+          level_unshift_row(img.plane(c).row(y), w, depth);
+        }
+        continue;
+      }
+      std::size_t c = 0;
+      if (color) {
+        if (fixed) {
+          ict_inverse_row_fixed(img.plane(0).row(y), img.plane(1).row(y),
+                                img.plane(2).row(y), r.data(), g.data(),
+                                b.data(), w);
+        } else {
+          ict_inverse_row(&fplanes[0][y * stride], &fplanes[1][y * stride],
+                          &fplanes[2][y * stride], r.data(), g.data(),
+                          b.data(), w);
+        }
+        clamp_row(r.data(), img.plane(0).row(y));
+        clamp_row(g.data(), img.plane(1).row(y));
+        clamp_row(b.data(), img.plane(2).row(y));
+        c = 3;
+      }
+      for (; c < ncomp; ++c) {
+        Sample* dst = img.plane(c).row(y);
+        if (fixed) {
+          fixed_to_int_row(dst, r.data(), w);
+          clamp_row(r.data(), dst);
+        } else {
+          const float* src = &fplanes[c][y * stride];
+          const float foff = static_cast<float>(off);
+          for (std::size_t x = 0; x < w; ++x) {
+            dst[x] = std::clamp<Sample>(
+                static_cast<Sample>(std::lround(src[x] + foff)), 0, hi);
+          }
+        }
+      }
+    }
+  });
   return img;
 }
 

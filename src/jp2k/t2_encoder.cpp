@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "decomp/host_pool.hpp"
 #include "decomp/work_queue.hpp"
 #include "jp2k/tagtree.hpp"
 
@@ -212,22 +213,13 @@ std::vector<T2PrecinctStream> t2_encode_precincts(const Tile& tile,
     }
   }
 
-  const unsigned host_threads =
-      parallel ? std::max(1u, std::thread::hardware_concurrency()) : 1u;
-  if (host_threads <= 1 || parts.size() <= 1) {
+  if (!parallel) {
     for (auto& ps : parts) encode_precinct_stream(tile, ps);
     return parts;
   }
-
-  decomp::WorkQueue queue(parts.size());
-  auto worker = [&] {
-    std::size_t idx;
-    while (queue.pop(idx)) encode_precinct_stream(tile, parts[idx]);
-  };
-  std::vector<std::thread> pool;
-  for (unsigned t = 1; t < host_threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& t : pool) t.join();
+  decomp::parallel_for(parts.size(), [&](std::size_t idx, std::size_t) {
+    encode_precinct_stream(tile, parts[idx]);
+  });
   return parts;
 }
 

@@ -31,8 +31,8 @@ struct T2PrecinctStream {
 };
 
 /// Codes every precinct stream of the tile (components × resolutions).
-/// With `parallel`, the independent streams are coded by a host thread
-/// pool drained through a work queue; the output is identical either way.
+/// With `parallel`, the independent streams are coded on the host pool
+/// (decomp/host_pool.hpp); the output is identical either way.
 std::vector<T2PrecinctStream> t2_encode_precincts(const Tile& tile,
                                                   bool parallel = false);
 
