@@ -62,12 +62,20 @@ void unlift(Sample* data, std::size_t n, std::size_t stride) {
     return data[mirror(i, n) * stride];
   };
   const std::ptrdiff_t sn = static_cast<std::ptrdiff_t>(n);
-  for (std::ptrdiff_t i = 0; i < sn; i += 2) {
-    at(i) -= (at(i - 1) + at(i + 1) + 2) >> 2;
+  // Only the first and last samples have a neighbour outside [0, n); the
+  // interior reads its neighbours directly.
+  at(0) -= (at(-1) + at(1) + 2) >> 2;
+  std::ptrdiff_t i = 2;
+  for (; i + 1 < sn; i += 2) {
+    const std::size_t k = static_cast<std::size_t>(i) * stride;
+    data[k] -= (data[k - stride] + data[k + stride] + 2) >> 2;
   }
-  for (std::ptrdiff_t i = 1; i < sn; i += 2) {
-    at(i) += (at(i - 1) + at(i + 1)) >> 1;
+  if (i < sn) at(i) -= (at(i - 1) + at(i + 1) + 2) >> 2;
+  for (i = 1; i + 1 < sn; i += 2) {
+    const std::size_t k = static_cast<std::size_t>(i) * stride;
+    data[k] += (data[k - stride] + data[k + stride]) >> 1;
   }
+  if (i < sn) at(i) += (at(i - 1) + at(i + 1)) >> 1;
 }
 
 void analyze(Sample* data, std::size_t n, std::size_t stride,

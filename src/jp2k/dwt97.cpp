@@ -19,15 +19,26 @@ std::size_t mirror(std::ptrdiff_t i, std::size_t n) {
 }
 
 /// One predict/update sweep: data[odd or even] += c * (left + right).
+/// Only the first and last samples have a neighbour outside [0, n); the
+/// interior reads its neighbours directly.
 template <typename T, typename MulAdd>
 void lift_step(T* data, std::size_t n, std::size_t stride,
                std::ptrdiff_t parity, MulAdd&& step) {
   const std::ptrdiff_t sn = static_cast<std::ptrdiff_t>(n);
-  for (std::ptrdiff_t i = parity; i < sn; i += 2) {
-    const T l = data[mirror(i - 1, n) * stride];
-    const T r = data[mirror(i + 1, n) * stride];
-    step(data[static_cast<std::size_t>(i) * stride], l, r);
+  const auto mirrored = [&](std::ptrdiff_t i) {
+    step(data[static_cast<std::size_t>(i) * stride],
+         data[mirror(i - 1, n) * stride], data[mirror(i + 1, n) * stride]);
+  };
+  std::ptrdiff_t i = parity;
+  if (i == 0) {
+    mirrored(0);
+    i = 2;
   }
+  for (; i + 1 < sn; i += 2) {
+    const std::size_t k = static_cast<std::size_t>(i) * stride;
+    step(data[k], data[k - stride], data[k + stride]);
+  }
+  if (i < sn) mirrored(i);
 }
 
 }  // namespace
