@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "cell/trace.hpp"
 #include "common/error.hpp"
+#include "decomp/host_pool.hpp"
 
 namespace cj2k::cell {
 
@@ -51,42 +49,29 @@ StageTiming Machine::run_data_parallel(
   }
   OpCounters ppe_counters;
 
-  // Thread-local job/tile provenance does not cross std::thread spawns;
-  // carry the caller's scopes into each SPE thread by hand.
+  // Thread-local job/tile provenance does not follow work onto pool
+  // threads; carry the caller's scopes into each task by hand.
   const int tile_idx = AuditTileScope::current();
   const int job_idx = AuditJobScope::current();
 
-  std::vector<std::thread> threads;
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  threads.reserve(spes_.size());
-  for (int i = 0; i < cfg_.num_spes; ++i) {
-    threads.emplace_back([&, i] {
-      try {
+  // One task per SPE, plus one for the PPE-side worker when there is one.
+  // The pool rethrows the first failure with its original type.
+  const auto nspes = static_cast<std::size_t>(cfg_.num_spes);
+  decomp::parallel_for(
+      nspes + (ppe_work ? 1 : 0), [&](std::size_t i, std::size_t) {
         AuditJobScope job(job_idx);
         AuditTileScope tile(tile_idx);
         AuditSiteScope site(name.c_str());
-        spe_work(i, *spes_[static_cast<std::size_t>(i)]);
+        if (i == nspes) {
+          ppe_work(ppe_counters);
+          return;
+        }
+        SpeContext& s = *spes_[i];
+        spe_work(static_cast<int>(i), s);
         // Epilogue check while the site scope is live: a kernel that
         // returns with tags in flight is a tag-discipline hazard.
-        spes_[static_cast<std::size_t>(i)]->dma.finish_kernel();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  if (ppe_work) {
-    try {
-      AuditSiteScope site(name.c_str());
-      ppe_work(ppe_counters);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+        s.dma.finish_kernel();
+      });
 
   std::vector<OpCounters> spe_counts;
   spe_counts.reserve(spes_.size());

@@ -2,8 +2,10 @@
 // SIMD + counters), PPE thread counters, and the timing composition that
 // turns per-worker op counts into a simulated stage time.
 //
-// Execution model: stage kernels are real C++ run on host threads (so the
-// work queue and chunk decomposition are genuinely concurrent); *simulated*
+// Execution model: stage kernels are real C++ run as tasks on the host pool
+// (decomp/host_pool.hpp), one task per SPE, so the work queue and chunk
+// decomposition are genuinely concurrent.  An SPE is a logical context —
+// its counters, Local Store and DMA tags — not a host thread.  *Simulated*
 // time is computed from the counters, so it is deterministic and
 // independent of the host machine.
 #pragma once
@@ -116,10 +118,12 @@ class Machine {
   int num_ppe_threads() const { return cfg_.num_ppe_threads; }
   SpeContext& spe(int i) { return *spes_.at(static_cast<std::size_t>(i)); }
 
-  /// Runs `spe_work(i, ctx)` for every SPE on host threads, plus an
-  /// optional PPE-side worker, then composes the stage timing from the
-  /// counters (which are reset on entry, along with each DmaEngine's tag
-  /// state; pending tags at kernel return are a pending-at-exit hazard).
+  /// Runs `spe_work(i, ctx)` for every SPE, plus an optional PPE-side
+  /// worker, as one parallel_for on the host pool, then composes the stage
+  /// timing from the counters (which are reset on entry, along with each
+  /// DmaEngine's tag state; pending tags at kernel return are a
+  /// pending-at-exit hazard).  The first exception a worker throws is
+  /// rethrown with its type; the machine stays reusable.
   /// With `overlap_dma` (the default) the *tagged* share of each SPE's DMA
   /// overlaps with compute — overlap credit is earned by issuing
   /// asynchronous transfers, synchronous traffic always serializes.

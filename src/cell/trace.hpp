@@ -84,10 +84,10 @@ class TraceRing {
 };
 
 /// Staging log a DmaEngine writes tagged/synchronous transfer activity
-/// into while a kernel runs (one log per SPE, written only by that SPE's
-/// host thread).  Issues on one tag coalesce into a single *tag group*
-/// record until a wait retires the tag, which keeps the log (and the
-/// exported flow arrows) at tag-group granularity rather than
+/// into while a kernel runs (one log per SPE, written only by the
+/// host-pool task running that SPE).  Issues on one tag coalesce into a
+/// single *tag group* record until a wait retires the tag, which keeps the
+/// log (and the exported flow arrows) at tag-group granularity rather than
 /// per-transfer — the double-buffer idiom emits two groups per wait, not
 /// thousands of events.  The machine time-stamps and drains the log after
 /// the stage's timing is composed.

@@ -136,30 +136,24 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
   // already coded the final selection, so its precinct streams are reused
   // (the phase-ordered baseline recodes them; a pure layer ladder must too,
   // because force_lossless_final_layer mutates the selection after
-  // allocation).  The overlapped path stitches through the streaming
-  // consumer while workers are still coding.
+  // allocation).  Otherwise the streams are coded on the host pool and
+  // then stitched; the streaming stitch that overlaps the two exists only
+  // on the virtual clock (the hand-off replay below).
   const bool reuse_parts =
       opts.overlap && params.rate > 0.0 && !last_parts.empty();
   std::vector<std::vector<jp2k::T2PrecinctStream>> parts;
-  std::vector<std::vector<std::uint8_t>> packets;
-  parts.reserve(tiles.size());
-  packets.reserve(tiles.size());
   if (reuse_parts) {
     parts = std::move(last_parts);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      packets.push_back(jp2k::t2_stitch(*tiles[t], parts[t]));
-    }
-  } else if (opts.overlap) {
-    for (jp2k::Tile* tp : tiles) {
-      std::vector<jp2k::T2PrecinctStream> tile_parts;
-      packets.push_back(jp2k::t2_encode_streamed(*tp, &tile_parts));
-      parts.push_back(std::move(tile_parts));
-    }
   } else {
+    parts.reserve(tiles.size());
     for (jp2k::Tile* tp : tiles) {
       parts.push_back(jp2k::t2_encode_precincts(*tp, /*parallel=*/true));
-      packets.push_back(jp2k::t2_stitch(*tp, parts.back()));
     }
+  }
+  std::vector<std::vector<std::uint8_t>> packets;
+  packets.reserve(tiles.size());
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    packets.push_back(jp2k::t2_stitch(*tiles[t], parts[t]));
   }
   const std::vector<const jp2k::Tile*> cptrs(tiles.begin(), tiles.end());
   res.codestream =

@@ -22,10 +22,11 @@
 //     refinement iteration's precinct sizing jobs are released the moment
 //     the scan prefix covering a precinct's blocks is decided — sizing
 //     overlaps the scan instead of waiting for it;
-//   * the final Tier-2 stitch is a streaming consumer (jp2k::T2StitchStream
-//     fed through a CompletionChannel): the PPE concatenates finished
-//     precinct packets in progression order while the pool still codes
-//     later precincts;
+//   * the final Tier-2 stitch is modelled as a streaming consumer (the
+//     ordered hand-off replay, decomp::schedule_ordered_handoff): the PPE
+//     concatenates finished precinct packets in progression order while
+//     the pool still codes later precincts.  The host codes every stream
+//     and then stitches; only the virtual clock overlaps the two;
 //   * when a rate target drove the allocation, the last sizing pass already
 //     coded the final selection, so its precinct streams are reused verbatim
 //     (the phase-ordered tail recodes them).

@@ -1,8 +1,9 @@
 // The process-wide host worker pool (DESIGN.md §15): the paper's work queue
 // over independent items (§3.2) on the host's cores, shared by every
-// data-parallel loop that runs real host work — Tier-1 block coding,
-// Tier-2 precinct streams and the decoder's blocks, inverse DWT and
-// inverse colour transform.
+// data-parallel loop that runs real host work — the SPE stages of
+// cell::Machine, Tier-1 block coding, Tier-2 precinct streams and the
+// decoder's blocks, inverse DWT and inverse colour transform.  It is the
+// only place on the encode and decode paths that starts threads.
 //
 // Contract:
 //  * parallel_for(n, fn) calls fn(index, slot) exactly once for every

@@ -2,85 +2,18 @@
 // content-dependent cost, so static distribution load-imbalances; a shared
 // work queue keeps every processing element busy.
 //
-// Two faces:
-//  * WorkQueue — a real thread-safe queue the host threads pull from while
-//    doing the actual encoding work;
-//  * schedule_virtual — a deterministic virtual-time replay that assigns
-//    each item (with a known simulated cost) to the worker that frees up
-//    first, which is exactly what a work queue achieves on hardware.  The
-//    result feeds the performance model and the load-balancing ablation.
+// The host side of that queue is the process-wide pool
+// (decomp/host_pool.hpp).  This header is the simulated side:
+// schedule_virtual and its variants are deterministic virtual-time replays
+// that assign each item (with a known simulated cost) to the worker that
+// frees up first, which is exactly what a work queue achieves on hardware.
+// The results feed the performance model and the load-balancing ablation.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace cj2k::decomp {
-
-/// Lock-free index dispenser over [0, size).
-class WorkQueue {
- public:
-  explicit WorkQueue(std::size_t size) : size_(size) {}
-
-  /// Pops the next work index; returns false when the queue is drained.
-  bool pop(std::size_t& index) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= size_) return false;
-    index = i;
-    return true;
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  std::atomic<std::size_t> next_{0};
-  std::size_t size_;
-};
-
-/// Multi-producer single-consumer completion channel: the ordered hand-off
-/// between a worker pool and a serial consumer (the PPE stitching Tier-2
-/// packets while SPEs are still coding later precinct streams).  Workers
-/// push finished item indices; the consumer pops them in completion order,
-/// blocking until an item arrives, and is released once every expected item
-/// has been delivered.
-class CompletionChannel {
- public:
-  explicit CompletionChannel(std::size_t expected) : expected_(expected) {}
-
-  /// Announces item `index` as finished (any thread).
-  void push(std::size_t index) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fifo_.push_back(index);
-    }
-    cv_.notify_one();
-  }
-
-  /// Pops the next finished item in completion order; blocks while the
-  /// channel is empty.  Returns false once all `expected` items have been
-  /// popped (the consumer is done).
-  bool pop(std::size_t& index) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (popped_ == expected_) return false;
-    cv_.wait(lock, [&] { return head_ < fifo_.size(); });
-    index = fifo_[head_++];
-    ++popped_;
-    return true;
-  }
-
-  std::size_t expected() const { return expected_; }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::size_t> fifo_;  ///< Completion order; head_ is the cursor.
-  std::size_t head_ = 0;
-  std::size_t popped_ = 0;
-  std::size_t expected_;
-};
 
 /// Result of a virtual-time schedule.
 struct Schedule {

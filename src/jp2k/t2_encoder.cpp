@@ -3,11 +3,9 @@
 #include <bit>
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "common/error.hpp"
 #include "decomp/host_pool.hpp"
-#include "decomp/work_queue.hpp"
 #include "jp2k/tagtree.hpp"
 
 namespace cj2k::jp2k {
@@ -223,118 +221,39 @@ std::vector<T2PrecinctStream> t2_encode_precincts(const Tile& tile,
   return parts;
 }
 
-T2StitchStream::T2StitchStream(const Tile& tile)
-    : levels_(tile.levels),
-      layers_(tile.layers),
-      progression_(tile.progression),
-      components_(tile.components.size()),
-      slots_(components_ * static_cast<std::size_t>(levels_ + 1), nullptr),
-      packets_total_(slots_.size() * static_cast<std::size_t>(layers_)) {}
-
-std::size_t T2StitchStream::offer(std::size_t index,
-                                  const T2PrecinctStream& part) {
-  CJ2K_CHECK_MSG(index < slots_.size(), "precinct index out of range");
-  CJ2K_CHECK_MSG(slots_[index] == nullptr, "precinct offered twice");
-  CJ2K_DCHECK(part.component ==
-                  index / static_cast<std::size_t>(levels_ + 1) &&
-              part.resolution ==
-                  static_cast<int>(index %
-                                   static_cast<std::size_t>(levels_ + 1)));
-  CJ2K_CHECK_MSG(part.layer_bytes.size() ==
-                     static_cast<std::size_t>(layers_),
-                 "precinct stream has the wrong layer count");
-  slots_[index] = &part;
-  const std::size_t before = out_.size();
-  append_ready();
-  return out_.size() - before;
-}
-
-void T2StitchStream::append_ready() {
-  while (packets_done_ < packets_total_) {
-    const std::size_t idx =
-        comp_ * static_cast<std::size_t>(levels_ + 1) +
-        static_cast<std::size_t>(res_);
-    const T2PrecinctStream* part = slots_[idx];
-    if (part == nullptr) return;  // The cursor waits; later offers resume.
-    const auto& chunk =
-        part->layer_bytes[static_cast<std::size_t>(layer_)];
-    out_.insert(out_.end(), chunk.begin(), chunk.end());
-    ++packets_done_;
-    // Step the progression cursor: component innermost, then (layer,
-    // resolution) nested per the tile's progression.
-    if (++comp_ < components_) continue;
-    comp_ = 0;
-    if (progression_ == 1) {  // RLCP: resolution outer, layer inner.
-      if (++layer_ >= layers_) {
-        layer_ = 0;
-        ++res_;
-      }
-    } else {  // LRCP: layer outer, resolution inner.
-      if (++res_ > levels_) {
-        res_ = 0;
-        ++layer_;
-      }
-    }
-  }
-}
-
-std::vector<std::uint8_t> T2StitchStream::take() {
-  CJ2K_CHECK_MSG(complete(), "stitch stream is missing precincts");
-  return std::move(out_);
-}
-
 std::vector<std::uint8_t> t2_stitch(
     const Tile& tile, const std::vector<T2PrecinctStream>& parts) {
-  T2StitchStream stream(tile);
-  CJ2K_CHECK_MSG(parts.size() == stream.num_parts(),
+  const auto nres = static_cast<std::size_t>(tile.levels + 1);
+  const std::size_t ncomp = tile.components.size();
+  CJ2K_CHECK_MSG(parts.size() == ncomp * nres,
                  "wrong number of precinct streams");
-  // parts are in (component-major, resolution-minor) order, so each offer
-  // flushes that part's packets as far as the progression cursor allows.
-  for (std::size_t i = 0; i < parts.size(); ++i) stream.offer(i, parts[i]);
-  return stream.take();
-}
-
-std::vector<std::uint8_t> t2_encode_streamed(
-    const Tile& tile, std::vector<T2PrecinctStream>* parts_out) {
-  std::vector<T2PrecinctStream> parts;
-  parts.reserve(tile.components.size() *
-                static_cast<std::size_t>(tile.levels + 1));
-  for (std::size_t c = 0; c < tile.components.size(); ++c) {
-    for (int r = 0; r <= tile.levels; ++r) {
-      T2PrecinctStream ps;
-      ps.component = c;
-      ps.resolution = r;
-      parts.push_back(std::move(ps));
-    }
+  std::size_t total = 0;
+  for (const auto& ps : parts) {
+    CJ2K_CHECK_MSG(ps.layer_bytes.size() ==
+                       static_cast<std::size_t>(tile.layers),
+                   "precinct stream has the wrong layer count");
+    total += ps.total_bytes;
   }
-
-  // Worker pool codes precinct streams and announces each through the
-  // completion channel; the calling thread is the serial consumer, stitching
-  // whatever the progression cursor can reach after each completion.
-  decomp::WorkQueue queue(parts.size());
-  decomp::CompletionChannel done(parts.size());
-  auto worker = [&] {
-    std::size_t idx;
-    while (queue.pop(idx)) {
-      encode_precinct_stream(tile, parts[idx]);
-      done.push(idx);
+  std::vector<std::uint8_t> out;
+  out.reserve(total);
+  // parts are component-major, resolution-minor; the packet walk puts the
+  // component innermost and nests (layer, resolution) per the progression.
+  const auto append = [&](int l, int r) {
+    for (std::size_t c = 0; c < ncomp; ++c) {
+      const auto& chunk = parts[c * nres + static_cast<std::size_t>(r)]
+                              .layer_bytes[static_cast<std::size_t>(l)];
+      out.insert(out.end(), chunk.begin(), chunk.end());
     }
   };
-  const unsigned host_threads =
-      std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t nworkers =
-      std::min<std::size_t>(host_threads, parts.size());
-  std::vector<std::thread> pool;
-  pool.reserve(nworkers);
-  for (std::size_t t = 0; t < nworkers; ++t) pool.emplace_back(worker);
-
-  T2StitchStream stream(tile);
-  std::size_t idx;
-  while (done.pop(idx)) stream.offer(idx, parts[idx]);
-  for (auto& t : pool) t.join();
-
-  auto out = stream.take();
-  if (parts_out) *parts_out = std::move(parts);
+  if (tile.progression == 1) {  // RLCP: resolution outer, layer inner.
+    for (int r = 0; r <= tile.levels; ++r) {
+      for (int l = 0; l < tile.layers; ++l) append(l, r);
+    }
+  } else {  // LRCP: layer outer, resolution inner.
+    for (int l = 0; l < tile.layers; ++l) {
+      for (int r = 0; r <= tile.levels; ++r) append(l, r);
+    }
+  }
   return out;
 }
 

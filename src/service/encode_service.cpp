@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
-#include <mutex>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
-#include "service/job_queue.hpp"
 
 namespace cj2k::service {
 
@@ -102,47 +98,20 @@ ServiceResult EncodeService::run() {
   SpePool pool(opt_.machine, opt_.group_spes);
   const std::size_t n = jobs_.size();
 
-  // --- Real encodes, genuinely concurrent: each worker leases one group
-  // and encodes whole jobs at lease width, tagged with job provenance so a
-  // strict-audit violation names the job.  Per-job tracing is disabled
-  // (the service owns the trace); everything else in the job's
-  // PipelineOptions applies as submitted.
+  // --- Real encodes, one job at a time on the calling thread through one
+  // lease-width encoder; each encode spreads over the host pool.  Jobs are
+  // tagged with their provenance so a strict-audit violation names the
+  // job.  Per-job tracing is disabled (the service owns the trace);
+  // everything else in the job's PipelineOptions applies as submitted.
   std::vector<cellenc::PipelineResult> plans(n);
-  JobQueue queue;
-  for (std::size_t id = 0; id < n; ++id) queue.push(id);
-  queue.close();
-
-  std::size_t workers =
-      opt_.host_threads != 0 ? opt_.host_threads : pool.num_groups();
-  workers = std::max<std::size_t>(1, std::min(workers, n));
-
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  auto work = [&] {
-    try {
-      SpePoolLease lease(pool, 1);
-      cellenc::CellEncoder enc(lease.machine_config());
-      std::size_t id = 0;
-      while (queue.pop(id)) {
-        const EncodeJob& job = jobs_[id];
-        cellenc::PipelineOptions popt = job.pipeline;
-        popt.trace.enabled = false;
-        cell::AuditJobScope jscope(static_cast<int>(id));
-        plans[id] = enc.encode(*job.image, job.params, popt);
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(work);
-    work();
-    for (auto& t : threads) t.join();
+  cellenc::CellEncoder enc(pool.lease_config(1));
+  for (std::size_t id = 0; id < n; ++id) {
+    const EncodeJob& job = jobs_[id];
+    cellenc::PipelineOptions popt = job.pipeline;
+    popt.trace.enabled = false;
+    cell::AuditJobScope jscope(static_cast<int>(id));
+    plans[id] = enc.encode(*job.image, job.params, popt);
   }
-  if (first_error) std::rethrow_exception(first_error);
 
   // --- The virtual service schedule over the per-job item lists.
   std::vector<std::size_t> order(n);

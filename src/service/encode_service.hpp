@@ -2,13 +2,13 @@
 // one simulated Cell pool.
 //
 // Execution follows the repo's machine-model split.  The *bytes* come from
-// real encodes running genuinely concurrently on host threads — each worker
-// holds a one-group SpePoolLease and runs the full cellenc pipeline on a
-// lease-width machine, so job codestreams are byte-identical to standalone
-// encodes (the codestream is machine-width-independent) and the host
-// concurrency is real enough for TSan to bite.  The *clock* comes from
-// schedule_service: a deterministic virtual-time replay of the admission /
-// lease / steal protocol over each job's {pool, serial} items
+// real encodes run one job at a time on the calling thread, each through
+// the full cellenc pipeline on a one-group lease-width machine and spread
+// over every host core by the shared pool (decomp/host_pool.hpp).  Job
+// codestreams are byte-identical to standalone encodes (the codestream is
+// machine-width-independent).  The *clock* — where jobs do overlap — comes
+// from schedule_service: a deterministic virtual-time replay of the
+// admission / lease / steal protocol over each job's {pool, serial} items
 // (PipelineResult::tile_items at group width), which yields per-job
 // queue-wait / service-time, the service-level latency percentiles and
 // throughput, and a Perfetto-loadable trace of jobs interleaving on the
@@ -42,7 +42,7 @@ struct ServiceOptions {
   StealMode steal = StealMode::kAuto;
   /// Lease-group width in SPEs (the >=8 unit of decomp::plan_tile_groups).
   int group_spes = 8;
-  /// Host encode workers; 0 means one per pool group.
+  /// Ignored: jobs encode one at a time, each over the whole host pool.
   std::size_t host_threads = 0;
   /// Record the service-level schedule trace (jobs interleaving on the
   /// pool's SPE/PPE tracks) into ServiceResult::trace.
@@ -98,9 +98,9 @@ class EncodeService {
   std::size_t num_jobs() const { return jobs_.size(); }
   bool stealing_enabled() const;
 
-  /// Encodes every submitted job (concurrently, on one-group leases) and
-  /// replays the service schedule.  Throws the first worker exception
-  /// (e.g. a strict-audit AuditError) after all workers join.
+  /// Encodes every submitted job (one after another, at one-group lease
+  /// width) and replays the service schedule.  A failing encode (e.g. a
+  /// strict-audit AuditError) propagates and stops the run.
   ServiceResult run();
 
  private:

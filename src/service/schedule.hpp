@@ -1,14 +1,15 @@
 // Deterministic virtual-time replay of the encode service's lease/steal
 // schedule (DESIGN.md §12).
 //
-// The service runs real encodes concurrently on host threads; *when* each
-// job's work occupies the shared SPE pool in simulated time is decided
-// here, the same split cellenc uses everywhere (real kernels, virtual
-// clock).  Each job is a list of {pool, serial} items — one per tile, at
-// lease-group width, straight from PipelineResult::tile_items — plus an
-// optional barrier tail (the lossy rate/Tier-2 phase, which only becomes
-// runnable once every tile item has completed).  The replay is an event
-// simulation over G identical lease groups and P serial PPE slots:
+// The service runs real encodes one at a time, each over the host pool;
+// *when* each job's work occupies the shared SPE pool in simulated time —
+// where jobs do overlap — is decided here, the same split cellenc uses
+// everywhere (real kernels, virtual clock).  Each job is a list of
+// {pool, serial} items — one per tile, at lease-group width, straight from
+// PipelineResult::tile_items — plus an optional barrier tail (the lossy
+// rate/Tier-2 phase, which only becomes runnable once every tile item has
+// completed).  The replay is an event simulation over G identical lease
+// groups and P serial PPE slots:
 //
 //   * Admission is FIFO by arrival: the head job waits until its policy's
 //     lease width is free, then owns that many groups.

@@ -2,9 +2,6 @@
 // properties, asserted over a parameter sweep.
 #include <gtest/gtest.h>
 
-#include <set>
-#include <thread>
-
 #include "common/align.hpp"
 #include "decomp/chunk.hpp"
 #include "decomp/work_queue.hpp"
@@ -94,29 +91,6 @@ TEST(SplitRows, CoversExactlyOnce) {
       }
     }
   }
-}
-
-TEST(WorkQueue, DispensesEachIndexExactlyOnceAcrossThreads) {
-  WorkQueue q(10000);
-  std::vector<std::vector<std::size_t>> got(4);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      std::size_t idx;
-      while (q.pop(idx)) got[static_cast<std::size_t>(t)].push_back(idx);
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::set<std::size_t> all;
-  std::size_t total = 0;
-  for (const auto& v : got) {
-    total += v.size();
-    all.insert(v.begin(), v.end());
-  }
-  EXPECT_EQ(total, 10000u);
-  EXPECT_EQ(all.size(), 10000u);
-  EXPECT_EQ(*all.begin(), 0u);
-  EXPECT_EQ(*all.rbegin(), 9999u);
 }
 
 TEST(Schedule, QueueBeatsStaticOnSkewedCosts) {
@@ -264,55 +238,6 @@ TEST(Pipeline, SerialOnlyItemsSerializeAcrossGroups) {
   const auto s = schedule_pipeline(items, 3);
   EXPECT_DOUBLE_EQ(s.makespan, 9.0);
   EXPECT_EQ(s.item_finish, (std::vector<double>{2, 5, 9}));
-}
-
-// --- CompletionChannel -----------------------------------------------------
-
-TEST(CompletionChannel, PopsInCompletionOrderThenTerminates) {
-  CompletionChannel ch(3);
-  ch.push(2);
-  ch.push(0);
-  ch.push(1);
-  std::size_t idx = 99;
-  ASSERT_TRUE(ch.pop(idx));
-  EXPECT_EQ(idx, 2u);
-  ASSERT_TRUE(ch.pop(idx));
-  EXPECT_EQ(idx, 0u);
-  ASSERT_TRUE(ch.pop(idx));
-  EXPECT_EQ(idx, 1u);
-  EXPECT_FALSE(ch.pop(idx));
-  EXPECT_FALSE(ch.pop(idx));  // stays terminated
-}
-
-TEST(CompletionChannel, DrainsEveryIndexAcrossProducerThreads) {
-  constexpr std::size_t kItems = 512;
-  constexpr std::size_t kProducers = 4;
-  CompletionChannel ch(kItems);
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ch, p] {
-      for (std::size_t i = p; i < kItems; i += kProducers) ch.push(i);
-    });
-  }
-  std::set<std::size_t> seen;
-  std::size_t idx;
-  while (ch.pop(idx)) {
-    EXPECT_TRUE(seen.insert(idx).second) << "duplicate " << idx;
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(seen.size(), kItems);
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), kItems - 1);
-}
-
-TEST(CompletionChannel, ConsumerBlocksUntilProducerDelivers) {
-  CompletionChannel ch(1);
-  std::size_t idx = 99;
-  std::thread producer([&ch] { ch.push(7); });
-  ASSERT_TRUE(ch.pop(idx));  // blocks until the push lands
-  EXPECT_EQ(idx, 7u);
-  producer.join();
-  EXPECT_FALSE(ch.pop(idx));
 }
 
 }  // namespace

@@ -1,17 +1,21 @@
 // The process-wide host pool (decomp/host_pool.hpp, DESIGN.md §15): every
 // index exactly once, per-call slot exclusivity, nesting, concurrent
-// callers, typed error propagation, and the decoder on top of it.
+// callers, typed error propagation, the decoder on top of it, and no
+// thread started on the decode or encode path after warm-up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -21,6 +25,7 @@
 #endif
 
 #include "cell/machine.hpp"
+#include "cellenc/pipeline.hpp"
 #include "cellenc/stage_t1.hpp"
 #include "common/rng.hpp"
 #include "decomp/host_pool.hpp"
@@ -29,6 +34,7 @@
 #include "jp2k/encoder.hpp"
 #include "jp2k/t2_encoder.hpp"
 #include "jp2k/tile.hpp"
+#include "service/encode_service.hpp"
 
 namespace cj2k::decomp {
 namespace {
@@ -251,11 +257,51 @@ jp2k::Tile coded_tile_skeleton(std::size_t w, std::size_t h, int levels) {
   return tile;
 }
 
+/// Thread ids that appear while `fn` runs three times after one warm-up
+/// call.  A sampler lists /proc/self/task meanwhile; a thread spawned and
+/// joined inside a call shows up as an id that was not there before.
+/// (Sampling can miss a very short-lived thread, never report one that
+/// does not exist.)
+std::set<std::string> threads_started_after_warm_up(
+    const std::function<void()>& fn) {
+  fn();  // Warm-up: the pool's workers start here at the latest.
+  const std::set<std::string> before = live_threads();
+  EXPECT_FALSE(before.empty());
+  std::atomic<bool> done{false};
+  std::set<std::string> seen;
+  std::string sampler_tid;
+  std::thread sampler([&] {
+    sampler_tid = std::to_string(syscall(SYS_gettid));
+    while (!done.load()) {
+      for (const auto& id : live_threads()) seen.insert(id);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  for (int i = 0; i < 3; ++i) fn();
+  done.store(true);
+  sampler.join();
+
+  seen.erase(sampler_tid);
+  std::set<std::string> started;
+  for (const auto& id : seen) {
+    if (before.count(id) == 0) started.insert(id);
+  }
+  return started;
+}
+
+/// "N thread(s): id id ..." with at most eight ids.
+std::string describe(const std::set<std::string>& ids) {
+  std::string out = std::to_string(ids.size()) + " thread(s):";
+  std::size_t shown = 0;
+  for (const auto& id : ids) {
+    if (shown++ == 8) return out + " ...";
+    out += " " + id;
+  }
+  return out;
+}
+
 // After warm-up the decoder, stage_t1 and t2_encode_precincts run on the
-// pool's existing threads.  A sampler lists /proc/self/task while they run;
-// a thread spawned and joined inside a call would show up as an id that was
-// not there before.  (Sampling can miss a very short-lived thread, never
-// report one that does not exist.)
+// pool's existing threads.
 TEST(HostPool, DecodeAndEncoderStagesCreateNoThreadsAfterWarmUp) {
   jp2k::CodingParams p;
   p.wavelet = jp2k::WaveletKind::kIrreversible97;
@@ -277,33 +323,62 @@ TEST(HostPool, DecodeAndEncoderStagesCreateNoThreadsAfterWarmUp) {
   cfg.num_spes = 8;
   cell::Machine machine(cfg);
 
-  const auto run_all = [&] {
+  const auto started = threads_started_after_warm_up([&] {
     (void)jp2k::decode(stream);
     (void)cellenc::stage_t1(machine, tile, planes);
     (void)jp2k::t2_encode_precincts(tile, /*parallel=*/true);
-  };
-  run_all();  // Warm-up: the pool's workers start here at the latest.
-
-  const std::set<std::string> before = live_threads();
-  ASSERT_FALSE(before.empty());
-  std::atomic<bool> done{false};
-  std::set<std::string> seen;
-  std::string sampler_tid;
-  std::thread sampler([&] {
-    sampler_tid = std::to_string(syscall(SYS_gettid));
-    while (!done.load()) {
-      for (const auto& id : live_threads()) seen.insert(id);
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
   });
-  for (int i = 0; i < 3; ++i) run_all();
-  done.store(true);
-  sampler.join();
+  EXPECT_TRUE(started.empty()) << "started mid-call: " << describe(started);
+}
 
-  seen.erase(sampler_tid);
-  for (const auto& id : seen) {
-    EXPECT_EQ(before.count(id), 1u) << "thread " << id << " started mid-call";
+// The whole encode path — every SPE stage, Tier-1, the rate tail, Tier-2
+// and the encode service — runs on the pool's existing threads.
+TEST(HostPool, EncodePathCreatesNoThreadsAfterWarmUp) {
+  const auto img =
+      std::make_shared<const Image>(synth::photographic(192, 160, 3, 9));
+  cell::MachineConfig cfg;
+  cfg.num_spes = 8;
+  cellenc::CellEncoder enc(cfg);
+
+  jp2k::CodingParams lossy;
+  lossy.wavelet = jp2k::WaveletKind::kIrreversible97;
+  lossy.rate = 0.3;
+  lossy.layers = 2;
+  jp2k::CodingParams ht;
+  ht.block_coder = jp2k::BlockCoder::kHt;
+  // A pure layer ladder on a tiled grid: no rate target, so the final
+  // Tier-2 pass codes its precinct streams afresh.
+  jp2k::CodingParams ladder;
+  ladder.wavelet = jp2k::WaveletKind::kIrreversible97;
+  ladder.layers = 3;
+  ladder.tiles_x = 2;
+  ladder.tiles_y = 2;
+
+  const std::vector<std::pair<const char*, jp2k::CodingParams>> cases = {
+      {"lossy EBCOT", lossy}, {"lossless HT", ht}, {"tiled ladder", ladder}};
+  for (const auto& c : cases) {
+    const auto started = threads_started_after_warm_up(
+        [&] { (void)enc.encode(*img, c.second); });
+    EXPECT_TRUE(started.empty())
+        << c.first << " started mid-call: " << describe(started);
   }
+
+  service::ServiceOptions sopt;
+  sopt.machine.num_spes = 16;
+  sopt.machine.num_ppe_threads = 2;
+  sopt.machine.chips = 2;
+  const auto started = threads_started_after_warm_up([&] {
+    service::EncodeService svc(sopt);
+    for (std::size_t i = 0; i < 3; ++i) {
+      service::EncodeJob job;
+      job.image = img;
+      job.params = cases[i].second;
+      svc.submit(std::move(job));
+    }
+    (void)svc.run();
+  });
+  EXPECT_TRUE(started.empty())
+      << "EncodeService::run started mid-call: " << describe(started);
 }
 #endif
 

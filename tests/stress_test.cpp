@@ -1,19 +1,17 @@
 // Concurrency stress tests, written to give TSan (and ASan) something to
-// bite on: the lock-free WorkQueue dispenser, the Tier-1 worker pool inside
-// the pipeline, precinct-parallel Tier-2, and whole encoders running
-// concurrently.  Under -DCJ2K_SANITIZE=thread these are the suite's main
-// race detectors; in a plain build they still assert the visible
-// invariants (exactly-once dispensing, bit-identical output).
+// bite on: the Tier-1 work on the host pool inside the pipeline,
+// precinct-parallel Tier-2, and whole encoders running concurrently.
+// Under -DCJ2K_SANITIZE=thread these are the suite's main race detectors;
+// in a plain build they still assert the visible invariant (bit-identical
+// output).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "cellenc/pipeline.hpp"
 #include "common/rng.hpp"
-#include "decomp/work_queue.hpp"
 #include "image/synth.hpp"
 #include "jp2k/encoder.hpp"
 #include "jp2k/t2_encoder.hpp"
@@ -27,57 +25,6 @@ cell::MachineConfig config(int spes, int ppes = 1) {
   cfg.num_spes = spes;
   cfg.num_ppe_threads = ppes;
   return cfg;
-}
-
-TEST(WorkQueueStress, EveryIndexDispensedExactlyOnce) {
-  constexpr std::size_t kItems = 100000;
-  constexpr unsigned kThreads = 8;
-  decomp::WorkQueue queue(kItems);
-  std::vector<std::atomic<std::uint32_t>> popped(kItems);
-  for (auto& p : popped) p.store(0, std::memory_order_relaxed);
-
-  std::vector<std::thread> workers;
-  std::vector<std::size_t> per_thread(kThreads, 0);
-  for (unsigned t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&queue, &popped, &per_thread, t] {
-      std::size_t i = 0;
-      while (queue.pop(i)) {
-        popped[i].fetch_add(1, std::memory_order_relaxed);
-        ++per_thread[t];
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  for (std::size_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(popped[i].load(std::memory_order_relaxed), 1u) << i;
-  }
-  std::size_t total = 0;
-  for (const std::size_t n : per_thread) total += n;
-  EXPECT_EQ(total, kItems);
-  // Drained queue stays drained.
-  std::size_t idx = 0;
-  EXPECT_FALSE(queue.pop(idx));
-}
-
-TEST(WorkQueueStress, ConcurrentPopAgainstShortQueues) {
-  // Many tiny queues: the interesting interleavings live near the drain
-  // boundary, where several threads race the final fetch_add.
-  for (std::size_t size : {1u, 2u, 3u, 7u}) {
-    for (int round = 0; round < 50; ++round) {
-      decomp::WorkQueue queue(size);
-      std::atomic<std::size_t> popped{0};
-      std::vector<std::thread> workers;
-      for (unsigned t = 0; t < 4; ++t) {
-        workers.emplace_back([&queue, &popped] {
-          std::size_t i = 0;
-          while (queue.pop(i)) popped.fetch_add(1, std::memory_order_relaxed);
-        });
-      }
-      for (auto& w : workers) w.join();
-      EXPECT_EQ(popped.load(), size);
-    }
-  }
 }
 
 TEST(Tier1PoolStress, RepeatedLossyEncodesAreDeterministic) {
