@@ -1,16 +1,18 @@
-// Tier-1 EBCOT throughput on the host, single-threaded: MQ symbols per
-// second through t1_encode_block and t1_decode_block over every code block
-// of the 1586x1558 synthetic photo (9/7 lossy at rate 0.25, and 5/3
-// lossless), plus the symbol split per pass type.
+// Tier-1 throughput on the host, single-threaded, over every code block of
+// the 1586x1558 synthetic photo: MQ symbols per second through
+// t1_encode_block and t1_decode_block for the EBCOT coder (9/7 lossy at
+// rate 0.25, and 5/3 lossless), plus the symbol split per pass type; and
+// samples per second through ht_encode_block and ht_decode_block for the
+// HT coder (the same two wavelet setups).
 //
 // The blocks are the serial encoder's own: jp2k::build_tile codes them, a
-// full-pass decode recovers each block's quantized coefficients, and the
-// timed loops re-code those.  Before reporting, the bench asserts that the
+// full decode recovers each block's quantized coefficients, and the timed
+// loops re-code those.  Before reporting, the bench asserts that the
 // re-encoded blocks are byte- and pass-identical to build_tile's and that
 // finishing the tile with them reproduces the serial jp2k::encode
 // codestream.  Like bench_native_wallclock, the figures are host wall
 // time, not simulated Cell seconds; they ride the BENCH_JSON "derived"
-// registry (t1.* keys) and sim_seconds is 0.
+// registry (t1.* and ht.* keys) and sim_seconds is 0.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +23,7 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "jp2k/encoder.hpp"
+#include "jp2k/ht_block.hpp"
 #include "jp2k/t1_decoder.hpp"
 #include "jp2k/t1_encoder.hpp"
 
@@ -30,14 +33,21 @@ using namespace cj2k;
 
 struct Variant {
   const char* label;
+  jp2k::BlockCoder coder;
   jp2k::WaveletKind wavelet;
   double rate;
   int layers;
 };
 
 constexpr Variant kVariants[] = {
-    {"lossy 9/7 rate 0.25", jp2k::WaveletKind::kIrreversible97, 0.25, 3},
-    {"lossless 5/3", jp2k::WaveletKind::kReversible53, 0.0, 1},
+    {"lossy 9/7 rate 0.25", jp2k::BlockCoder::kEbcot,
+     jp2k::WaveletKind::kIrreversible97, 0.25, 3},
+    {"lossless 5/3", jp2k::BlockCoder::kEbcot,
+     jp2k::WaveletKind::kReversible53, 0.0, 1},
+    {"HT lossy 9/7 0.25", jp2k::BlockCoder::kHt,
+     jp2k::WaveletKind::kIrreversible97, 0.25, 1},
+    {"HT lossless 5/3", jp2k::BlockCoder::kHt,
+     jp2k::WaveletKind::kReversible53, 0.0, 1},
 };
 
 /// One code block as the timed loops see it.
@@ -66,8 +76,32 @@ bool same_passes(const jp2k::T1EncodedBlock& a, const jp2k::T1EncodedBlock& b) {
   return true;
 }
 
+/// One block through the variant's coder.
+jp2k::T1EncodedBlock encode_block(const Variant& v,
+                                  const jp2k::CodingParams& p,
+                                  const Block& b) {
+  const Span2d<const Sample> in(b.coeffs.data(), b.cb->w, b.cb->h);
+  return v.coder == jp2k::BlockCoder::kHt
+             ? jp2k::ht_encode_block(in)
+             : jp2k::t1_encode_block(in, b.orient, p.t1);
+}
+
+/// Full decode of `e` (every pass) into `out`.
+void decode_block(const Variant& v, const jp2k::CodingParams& p,
+                  const jp2k::T1EncodedBlock& e, jp2k::SubbandOrient orient,
+                  Span2d<Sample> out) {
+  if (v.coder == jp2k::BlockCoder::kHt) {
+    jp2k::ht_decode_block(e.data.data(), e.data.size(), e.num_bitplanes, out);
+  } else {
+    jp2k::t1_decode_block(e.data.data(), e.data.size(), e.num_bitplanes,
+                          static_cast<int>(e.passes.size()), orient, out,
+                          p.t1);
+  }
+}
+
 void run_variant(const Variant& v, const Image& img, int reps) {
   jp2k::CodingParams p;
+  p.block_coder = v.coder;
   p.wavelet = v.wavelet;
   p.rate = v.rate;
   p.layers = v.layers;
@@ -79,10 +113,8 @@ void run_variant(const Variant& v, const Image& img, int reps) {
     for (auto& sb : tc.subbands) {
       for (auto& cb : sb.blocks) {
         Block b{&cb, sb.info.orient, std::vector<Sample>(cb.w * cb.h)};
-        jp2k::t1_decode_block(
-            cb.enc.data.data(), cb.enc.data.size(), cb.enc.num_bitplanes,
-            static_cast<int>(cb.enc.passes.size()), b.orient,
-            Span2d<Sample>(b.coeffs.data(), cb.w, cb.h), p.t1);
+        decode_block(v, p, cb.enc, b.orient,
+                     Span2d<Sample>(b.coeffs.data(), cb.w, cb.h));
         blocks.push_back(std::move(b));
       }
     }
@@ -93,10 +125,7 @@ void run_variant(const Variant& v, const Image& img, int reps) {
   for (int r = 0; r < reps; ++r) {
     Timer t;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
-      const Block& b = blocks[i];
-      coded[i] = jp2k::t1_encode_block(
-          Span2d<const Sample>(b.coeffs.data(), b.cb->w, b.cb->h), b.orient,
-          p.t1);
+      coded[i] = encode_block(v, p, blocks[i]);
     }
     const double s = t.seconds();
     enc_s = r == 0 ? s : std::min(enc_s, s);
@@ -107,12 +136,9 @@ void run_variant(const Variant& v, const Image& img, int reps) {
   for (int r = 0; r < reps; ++r) {
     Timer t;
     for (const Block& b : blocks) {
-      const jp2k::T1EncodedBlock& e = b.cb->enc;
       scratch.resize(b.coeffs.size());
-      jp2k::t1_decode_block(e.data.data(), e.data.size(), e.num_bitplanes,
-                            static_cast<int>(e.passes.size()), b.orient,
-                            Span2d<Sample>(scratch.data(), b.cb->w, b.cb->h),
-                            p.t1);
+      decode_block(v, p, b.cb->enc, b.orient,
+                   Span2d<Sample>(scratch.data(), b.cb->w, b.cb->h));
     }
     const double s = t.seconds();
     dec_s = r == 0 ? s : std::min(dec_s, s);
@@ -134,27 +160,40 @@ void run_variant(const Variant& v, const Image& img, int reps) {
                  "codestream from re-encoded blocks differs from the serial "
                  "encode");
 
-  const double msym = static_cast<double>(symbols) / 1e6;
-  const double share = symbols ? 100.0 / static_cast<double>(symbols) : 0.0;
-  std::printf("  %-20s %7zu blocks %9.2f Msym  encode %8.2f ms %7.2f Msym/s"
-              "  decode %8.2f ms %7.2f Msym/s\n",
-              v.label, blocks.size(), msym, enc_s * 1e3, msym / enc_s,
-              dec_s * 1e3, msym / dec_s);
-  std::printf("  %-20s symbols by pass: significance %.1f%%  refinement "
-              "%.1f%%  cleanup %.1f%%\n",
-              "", static_cast<double>(by_type[0]) * share,
-              static_cast<double>(by_type[1]) * share,
-              static_cast<double>(by_type[2]) * share);
-
   cell::MetricsRegistry m;
-  m.set("t1.symbols", static_cast<double>(symbols));
-  m.set("t1.symbols.significance", static_cast<double>(by_type[0]));
-  m.set("t1.symbols.refinement", static_cast<double>(by_type[1]));
-  m.set("t1.symbols.cleanup", static_cast<double>(by_type[2]));
-  m.set("t1.encode_seconds", enc_s);
-  m.set("t1.decode_seconds", dec_s);
-  m.set("t1.encode_msym_per_s", msym / enc_s);
-  m.set("t1.decode_msym_per_s", msym / dec_s);
+  const double msym = static_cast<double>(symbols) / 1e6;
+  if (v.coder == jp2k::BlockCoder::kHt) {
+    // HT codes every sample once in its single cleanup pass, so its
+    // symbol count is the sample count.
+    std::printf("  %-20s %7zu blocks %9.2f Msmp  encode %8.2f ms %7.2f "
+                "Msmp/s  decode %8.2f ms %7.2f Msmp/s\n",
+                v.label, blocks.size(), msym, enc_s * 1e3, msym / enc_s,
+                dec_s * 1e3, msym / dec_s);
+    m.set("ht.samples", static_cast<double>(symbols));
+    m.set("ht.encode_seconds", enc_s);
+    m.set("ht.decode_seconds", dec_s);
+    m.set("ht.encode_msamples_per_s", msym / enc_s);
+    m.set("ht.decode_msamples_per_s", msym / dec_s);
+  } else {
+    const double share = symbols ? 100.0 / static_cast<double>(symbols) : 0.0;
+    std::printf("  %-20s %7zu blocks %9.2f Msym  encode %8.2f ms %7.2f "
+                "Msym/s  decode %8.2f ms %7.2f Msym/s\n",
+                v.label, blocks.size(), msym, enc_s * 1e3, msym / enc_s,
+                dec_s * 1e3, msym / dec_s);
+    std::printf("  %-20s symbols by pass: significance %.1f%%  refinement "
+                "%.1f%%  cleanup %.1f%%\n",
+                "", static_cast<double>(by_type[0]) * share,
+                static_cast<double>(by_type[1]) * share,
+                static_cast<double>(by_type[2]) * share);
+    m.set("t1.symbols", static_cast<double>(symbols));
+    m.set("t1.symbols.significance", static_cast<double>(by_type[0]));
+    m.set("t1.symbols.refinement", static_cast<double>(by_type[1]));
+    m.set("t1.symbols.cleanup", static_cast<double>(by_type[2]));
+    m.set("t1.encode_seconds", enc_s);
+    m.set("t1.decode_seconds", dec_s);
+    m.set("t1.encode_msym_per_s", msym / enc_s);
+    m.set("t1.decode_msym_per_s", msym / dec_s);
+  }
   bench::emit_json_metrics("t1_throughput", v.label, 0.0, m);
 }
 
@@ -164,7 +203,8 @@ int main(int argc, char** argv) {
   const bench::Workload wl = bench::parse_workload(argc, argv);
   const int reps = 3;
   bench::print_header(
-      "Tier-1 EBCOT throughput: host MQ symbols per second, one thread",
+      "Tier-1 throughput: host EBCOT symbols and HT samples per second, "
+      "one thread",
       "beyond the paper; the Tier-1 work queue's per-block kernel");
   const Image img = bench::paper_image(wl);
   std::printf("  Workload: synthetic photo %zux%zu RGB, 5 levels, 64x64 "

@@ -3,8 +3,10 @@
 #include "jp2k/ht_block.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,40 +20,46 @@ namespace {
 // VLC stream is byte-reversed at assembly and read backward byte-by-byte,
 // so its per-byte bit order is unchanged.
 
-class BitWriter {
+/// Packs LSB-first bit fields into caller-provided storage that already
+/// holds the stream's worst case, so no write checks capacity.  Fields
+/// collect in a 64-bit accumulator and leave it four whole bytes at a time.
+class BitPacker {
  public:
-  explicit BitWriter(std::size_t reserve_bytes) {
-    bytes_.reserve(reserve_bytes);
-  }
+  explicit BitPacker(std::uint8_t* dst) : begin_(dst), pos_(dst) {}
 
-  void put(unsigned bit) {
-    acc_ |= (bit & 1u) << nbits_;
-    if (++nbits_ == 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(acc_));
-      acc_ = 0;
-      nbits_ = 0;
+  /// Appends the low `n` bits of `v` (1 <= n <= 32; no bits of `v` above
+  /// bit n-1 may be set).
+  void put_bits(std::uint64_t v, int n) {
+    acc_ |= v << nbits_;
+    nbits_ += n;
+    if (nbits_ >= 32) {
+      const auto word = static_cast<std::uint32_t>(acc_);
+      pos_[0] = static_cast<std::uint8_t>(word);
+      pos_[1] = static_cast<std::uint8_t>(word >> 8);
+      pos_[2] = static_cast<std::uint8_t>(word >> 16);
+      pos_[3] = static_cast<std::uint8_t>(word >> 24);
+      pos_ += 4;
+      acc_ >>= 32;
+      nbits_ -= 32;
     }
   }
 
-  void put_bits(std::uint32_t v, int n) {
-    for (int i = 0; i < n; ++i) put((v >> i) & 1u);
-  }
-
-  /// Pads the final partial byte with zero bits.
-  void flush() {
-    if (nbits_ > 0) {
-      bytes_.push_back(static_cast<std::uint8_t>(acc_));
-      acc_ = 0;
-      nbits_ = 0;
+  /// Stores the pending bits, the final partial byte padded with zeros,
+  /// and returns the stream length in bytes.
+  std::size_t flush() {
+    for (; nbits_ > 0; nbits_ -= 8) {
+      *pos_++ = static_cast<std::uint8_t>(acc_);
+      acc_ >>= 8;
     }
+    nbits_ = 0;
+    return static_cast<std::size_t>(pos_ - begin_);
   }
-
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
  private:
-  std::vector<std::uint8_t> bytes_;
-  unsigned acc_ = 0;
-  int nbits_ = 0;
+  std::uint8_t* begin_;
+  std::uint8_t* pos_;
+  std::uint64_t acc_ = 0;
+  int nbits_ = 0;  ///< Pending bits in acc_, always below 32 between calls.
 };
 
 /// Forward reader over [data, data+size); reads past the end yield 0 bits
@@ -127,19 +135,20 @@ constexpr int kMelExponent[kMelStates] = {0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5}
 
 class MelEncoder {
  public:
-  explicit MelEncoder(BitWriter& out) : out_(out) {}
+  explicit MelEncoder(BitPacker& out) : out_(out) {}
 
   void encode(bool significant) {
+    const int e = kMelExponent[state_];
     if (!significant) {
-      if (++run_ == (1 << kMelExponent[state_])) {
-        out_.put(1);
+      if (++run_ == (1 << e)) {
+        out_.put_bits(1, 1);
         run_ = 0;
         state_ = std::min(state_ + 1, kMelStates - 1);
       }
       return;
     }
-    out_.put(0);
-    out_.put_bits(static_cast<std::uint32_t>(run_), kMelExponent[state_]);
+    // A 0-bit, then the partial run length in E[k] raw bits.
+    out_.put_bits(static_cast<std::uint64_t>(run_) << 1, 1 + e);
     run_ = 0;
     state_ = std::max(state_ - 1, 0);
   }
@@ -149,13 +158,13 @@ class MelEncoder {
   /// asks for.
   void terminate() {
     if (run_ > 0) {
-      out_.put(1);
+      out_.put_bits(1, 1);
       run_ = 0;
     }
   }
 
  private:
-  BitWriter& out_;
+  BitPacker& out_;
   int state_ = 0;
   int run_ = 0;
 };
@@ -196,22 +205,20 @@ class MelDecoder {
 // u-VLC for the per-quad magnitude exponent bound, coding u = U_q - 1:
 //   0 -> "0",  1 -> "10",  2 -> "110",  u >= 3 -> "111" + 5 raw bits of u-3.
 
-void uvlc_encode(BitWriter& out, int u) {
-  if (u == 0) {
-    out.put(0);
-  } else if (u == 1) {
-    out.put(1);
-    out.put(0);
-  } else if (u == 2) {
-    out.put(1);
-    out.put(1);
-    out.put(0);
-  } else {
-    out.put(1);
-    out.put(1);
-    out.put(1);
-    out.put_bits(static_cast<std::uint32_t>(u - 3), 5);
+/// One coded field: `len` LSB-first bits of `bits`.
+struct Field {
+  std::uint32_t bits;
+  int len;
+};
+
+/// The quad's significance pattern rho (4 bits) followed by the u-VLC code
+/// of u, as one field of at most 12 bits.
+Field rho_uvlc_field(unsigned rho, int u) {
+  if (u < 3) {
+    // "0", "10", "110": u one-bits then a zero, read LSB first.
+    return {rho | (((1u << u) - 1) << 4), 4 + u + 1};
   }
+  return {rho | (7u << 4) | (static_cast<std::uint32_t>(u - 3) << 7), 12};
 }
 
 template <typename Reader>
@@ -222,14 +229,9 @@ int uvlc_decode(Reader& in) {
   return 3 + static_cast<int>(in.get_bits(5));
 }
 
-int bit_length(std::uint32_t v) {
-  int n = 0;
-  while (v >> n) ++n;
-  return n;
-}
-
 /// The four samples of quad (qy, qx) in scan order n0=TL, n1=BL, n2=TR,
-/// n3=BR; out-of-bounds positions are reported absent.
+/// n3=BR; out-of-bounds positions are reported absent.  The decoder's
+/// view; the encoder walks the same order through two row pointers.
 struct Quad {
   std::size_t y[4];
   std::size_t x[4];
@@ -262,54 +264,69 @@ T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs) {
   const std::uint32_t maxmag = block_prescan(coeffs);
 
   T1EncodedBlock out;
-  out.num_bitplanes = bit_length(maxmag);
+  out.num_bitplanes = std::bit_width(maxmag);
   out.total_symbols = static_cast<std::uint64_t>(w) * h;
   if (maxmag == 0) return out;  // All-zero block: empty, like EBCOT.
 
-  BitWriter magsgn(w * h);  // ~1 byte/sample is generous for typical blocks.
-  BitWriter melbits(64);
-  BitWriter vlc(w * h / 4 + 16);
-  MelEncoder mel(melbits);
-
+  // One allocation holds each stream's worst case: MagSgn at most 32 bits
+  // per sample, VLC at most 12 bits (rho + u-VLC) and MEL at most 6 bits
+  // (a break of 1 + E[12] bits) per quad.
   const std::size_t num_qx = (w + 1) / 2;
   const std::size_t num_qy = (h + 1) / 2;
+  const std::size_t quads = num_qx * num_qy;
+  const std::size_t magsgn_cap = 4 * w * h;
+  const std::size_t vlc_cap = (12 * quads + 7) / 8;
+  const std::size_t mel_cap = (6 * quads + 7) / 8;
+  const auto scratch = std::make_unique_for_overwrite<std::uint8_t[]>(
+      magsgn_cap + vlc_cap + mel_cap);
+  std::uint8_t* const magsgn_buf = scratch.get();
+  std::uint8_t* const vlc_buf = magsgn_buf + magsgn_cap;
+  std::uint8_t* const mel_buf = vlc_buf + vlc_cap;
+  BitPacker magsgn(magsgn_buf);
+  BitPacker vlc(vlc_buf);
+  BitPacker melbits(mel_buf);
+  MelEncoder mel(melbits);
+
   std::vector<std::uint8_t> north_sig(num_qx, 0);
   double dist = 0.0;
 
   for (std::size_t qy = 0; qy < num_qy; ++qy) {
+    // Quad samples in scan order n0=TL, n1=BL, n2=TR, n3=BR; samples
+    // outside the block read as zero.
+    const Sample* top = coeffs.row(2 * qy);
+    const Sample* bottom = 2 * qy + 1 < h ? coeffs.row(2 * qy + 1) : nullptr;
     bool west_sig = false;
     for (std::size_t qx = 0; qx < num_qx; ++qx) {
-      const Quad q = quad_at(qy, qx, w, h);
+      const std::size_t x = 2 * qx;
+      const bool right = x + 1 < w;
+      const Sample v[4] = {top[x], bottom ? bottom[x] : 0,
+                           right ? top[x + 1] : 0,
+                           bottom && right ? bottom[x + 1] : 0};
+      std::uint32_t mag[4];
       unsigned rho = 0;
-      std::uint32_t mag[4] = {0, 0, 0, 0};
-      bool neg[4] = {false, false, false, false};
-      int umax = 0;
       for (int i = 0; i < 4; ++i) {
-        if (!q.present[i]) continue;
-        const Sample v = coeffs.at(q.y[i], q.x[i]);
-        mag[i] = static_cast<std::uint32_t>(std::abs(v));
-        neg[i] = v < 0;
-        if (mag[i] != 0) {
-          rho |= 1u << i;
-          umax = std::max(umax, bit_length(mag[i]));
-          dist += static_cast<double>(mag[i]) * static_cast<double>(mag[i]);
-        }
+        mag[i] = v[i] < 0 ? 0u - static_cast<std::uint32_t>(v[i])
+                          : static_cast<std::uint32_t>(v[i]);
+        rho |= (mag[i] != 0 ? 1u : 0u) << i;
       }
 
-      const int context = (west_sig ? 1 : 0) | (north_sig[qx] ? 2 : 0);
       const bool sig = rho != 0;
-      if (context == 0) {
+      if (!west_sig && !north_sig[qx]) {
         mel.encode(sig);
-        if (sig) vlc.put_bits(rho, 4);
-      } else {
-        vlc.put_bits(rho, 4);
+      } else if (!sig) {
+        vlc.put_bits(0, 4);
       }
       if (sig) {
-        uvlc_encode(vlc, umax - 1);
+        const int umax = std::bit_width(mag[0] | mag[1] | mag[2] | mag[3]);
+        const Field f = rho_uvlc_field(rho, umax - 1);
+        vlc.put_bits(f.bits, f.len);
         for (int i = 0; i < 4; ++i) {
-          if (!(rho & (1u << i))) continue;
-          magsgn.put(neg[i] ? 1u : 0u);
-          magsgn.put_bits(mag[i] - 1, umax);
+          if (mag[i] == 0) continue;
+          dist += static_cast<double>(mag[i]) * static_cast<double>(mag[i]);
+          // The sign bit, then mag - 1 in umax bits.
+          magsgn.put_bits((static_cast<std::uint64_t>(mag[i] - 1) << 1) |
+                              (v[i] < 0 ? 1u : 0u),
+                          umax + 1);
         }
       }
       west_sig = sig;
@@ -318,24 +335,22 @@ T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs) {
   }
 
   mel.terminate();
-  magsgn.flush();
-  melbits.flush();
-  vlc.flush();
-
-  const std::size_t mel_len = melbits.bytes().size();
-  const std::size_t vlc_len = vlc.bytes().size();
+  const std::size_t magsgn_len = magsgn.flush();
+  const std::size_t mel_len = melbits.flush();
+  const std::size_t vlc_len = vlc.flush();
   const std::size_t scup = mel_len + vlc_len + 4;
 
-  out.data.reserve(magsgn.bytes().size() + scup);
-  out.data.insert(out.data.end(), magsgn.bytes().begin(),
-                  magsgn.bytes().end());
-  out.data.insert(out.data.end(), melbits.bytes().begin(),
-                  melbits.bytes().end());
-  out.data.insert(out.data.end(), vlc.bytes().rbegin(), vlc.bytes().rend());
-  out.data.push_back(static_cast<std::uint8_t>((scup >> 24) & 0xFF));
-  out.data.push_back(static_cast<std::uint8_t>((scup >> 16) & 0xFF));
-  out.data.push_back(static_cast<std::uint8_t>((scup >> 8) & 0xFF));
-  out.data.push_back(static_cast<std::uint8_t>(scup & 0xFF));
+  out.data.resize(magsgn_len + scup);
+  std::uint8_t* dst = out.data.data();
+  std::memcpy(dst, magsgn_buf, magsgn_len);
+  dst += magsgn_len;
+  std::memcpy(dst, mel_buf, mel_len);
+  dst += mel_len;
+  dst = std::reverse_copy(vlc_buf, vlc_buf + vlc_len, dst);
+  dst[0] = static_cast<std::uint8_t>((scup >> 24) & 0xFF);
+  dst[1] = static_cast<std::uint8_t>((scup >> 16) & 0xFF);
+  dst[2] = static_cast<std::uint8_t>((scup >> 8) & 0xFF);
+  dst[3] = static_cast<std::uint8_t>(scup & 0xFF);
 
   PassInfo pass;
   pass.type = PassType::kCleanup;
@@ -349,7 +364,6 @@ T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs) {
 
 void ht_decode_block(const std::uint8_t* data, std::size_t size,
                      int num_bitplanes, Span2d<Sample> out) {
-  (void)num_bitplanes;  // Magnitudes are fully coded via the U bounds.
   const std::size_t w = out.width();
   const std::size_t h = out.height();
   for (std::size_t y = 0; y < h; ++y) {
@@ -389,16 +403,23 @@ void ht_decode_block(const std::uint8_t* data, std::size_t size,
       }
       const bool sig = rho != 0;
       if (sig) {
+        // Every magnitude the encoder writes is below 2^umax, and umax never
+        // exceeds the block's bit-plane count (itself at most 31).
         const int u = uvlc_decode(vlc) + 1;
-        if (u > 31) throw CodestreamError("HT magnitude exponent overflow");
+        if (u > 31 || u > num_bitplanes) {
+          throw CodestreamError("HT magnitude exponent above the bit planes");
+        }
         for (int i = 0; i < 4; ++i) {
           if (!(rho & (1u << i))) continue;
           if (!q.present[i]) {
             throw CodestreamError("HT significance outside the block");
           }
           const bool negative = magsgn.get() != 0;
-          const std::uint32_t mag = magsgn.get_bits(u) + 1;
-          const Sample v = static_cast<Sample>(mag);
+          const std::uint32_t mag_minus_1 = magsgn.get_bits(u);
+          if (mag_minus_1 == (std::uint32_t{1} << u) - 1) {
+            throw CodestreamError("HT magnitude out of its exponent bound");
+          }
+          const Sample v = static_cast<Sample>(mag_minus_1 + 1);
           out.at(q.y[i], q.x[i]) = negative ? -v : v;
         }
       }

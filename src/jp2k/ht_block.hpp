@@ -34,11 +34,12 @@ T1EncodedBlock ht_encode_block(Span2d<const Sample> coeffs);
 
 /// Decodes one HT cleanup-pass segment.  Mirrors t1_decode_block's shape so
 /// the Tier-2/decoder plumbing can dispatch on the block coder;
-/// `num_bitplanes` (reconstructed by Tier-2 from the imsb tag tree) is not
-/// needed by the HT decoder and is ignored.  Defensive: reads past the
-/// segment yield zero bits, and structurally impossible values (magnitude
-/// exponent bound over 31, short or overrunning Scup) throw
-/// CodestreamError rather than invoking undefined behavior.
+/// `num_bitplanes` (reconstructed by Tier-2 from the imsb tag tree) bounds
+/// every quad's magnitude exponent.  Defensive: reads past the segment
+/// yield zero bits, and structurally impossible values (a magnitude
+/// exponent bound above `num_bitplanes` or 31, a magnitude of 2^U, short or
+/// overrunning Scup) throw CodestreamError rather than invoking undefined
+/// behavior.
 void ht_decode_block(const std::uint8_t* data, std::size_t size,
                      int num_bitplanes, Span2d<Sample> out);
 
