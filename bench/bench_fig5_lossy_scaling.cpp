@@ -61,9 +61,6 @@ void run_figure(const bench::Workload& wl, int argc, char** argv) {
   cellenc::PipelineOptions serial_opt;
   serial_opt.parallel_lossy_tail = false;
   serial_opt.audit.enabled = true;  // invariant ledger in BENCH_JSON
-  cellenc::PipelineOptions dist_opt;  // distributed tail, phase-ordered
-  dist_opt.overlap_lossy_tail = false;
-  dist_opt.audit.enabled = true;
   cellenc::PipelineOptions overlap_opt;  // distributed + overlapped tail
   overlap_opt.audit.enabled = true;
 
@@ -94,49 +91,29 @@ void run_figure(const bench::Workload& wl, int argc, char** argv) {
                      res.simulated_seconds, &res);
   }
 
-  std::printf("\n  Distributed lossy tail, phase-ordered (hull build under "
-              "T1, k-way merge, precinct-parallel T2):\n");
+  std::printf("\n  Distributed lossy tail (hull build under T1, k-way "
+              "merge, precinct-parallel T2), overlapped (incremental lambda "
+              "scan feeds sizing early; streaming T2 stitch consumes "
+              "precinct packets in progression order).  Phase-ordered = "
+              "sim time + overlap saved:\n");
   base_1spe = 0;
   std::printf("  %-26s %12s %9s  %s\n", "configuration", "sim time",
-              "speedup", "rate+t2 share (serial baseline)");
+              "speedup", "rate+t2 share, phase-ordered (serial tail)");
   std::size_t i = 0;
-  std::vector<double> dist_totals;
-  for (const auto& cfg : configs) {
-    cellenc::CellEncoder enc(
-        bench::machine_config(cfg.spes, cfg.ppes, cfg.chips));
-    const auto res = enc.encode(img, p, dist_opt);
-    dist_totals.push_back(res.simulated_seconds);
-    if (std::string(cfg.label) == "1 SPE") base_1spe = res.simulated_seconds;
-    const double base = base_1spe > 0 ? base_1spe : res.simulated_seconds;
-    char extra[96];
-    std::snprintf(extra, sizeof(extra),
-                  "rate+t2 %.0f%% (serial %.4f s, hull absorbed %.4f s)",
-                  100.0 * tail_share(res), serial_totals[i++],
-                  res.hull_serial_seconds - res.hull_extra_seconds);
-    bench::print_row(cfg.label, res.simulated_seconds,
-                     base / res.simulated_seconds, extra);
-    bench::emit_json("fig5_lossy_scaling",
-                     std::string(cfg.label) + " distributed-tail",
-                     res.simulated_seconds, &res);
-  }
-
-  std::printf("\n  Overlapped lossy tail (incremental lambda scan feeds "
-              "sizing early; streaming T2 stitch consumes precinct packets "
-              "in progression order):\n");
-  base_1spe = 0;
-  std::printf("  %-26s %12s %9s  %s\n", "configuration", "sim time",
-              "speedup", "vs phase-ordered");
-  i = 0;
   for (const auto& cfg : configs) {
     cellenc::CellEncoder enc(
         bench::machine_config(cfg.spes, cfg.ppes, cfg.chips));
     const auto res = enc.encode(img, p, overlap_opt);
     if (std::string(cfg.label) == "1 SPE") base_1spe = res.simulated_seconds;
     const double base = base_1spe > 0 ? base_1spe : res.simulated_seconds;
-    char extra[96];
+    char extra[128];
     std::snprintf(extra, sizeof(extra),
-                  "saved %.4f s (phase-ordered %.4f s)",
-                  res.overlap_saved_seconds, dist_totals[i++]);
+                  "rate+t2 %.0f%%, phase-ordered %.4f s (serial %.4f s, "
+                  "hull absorbed %.4f s)",
+                  100.0 * tail_share(res),
+                  res.simulated_seconds + res.overlap_saved_seconds,
+                  serial_totals[i++],
+                  res.hull_serial_seconds - res.hull_extra_seconds);
     bench::print_row(cfg.label, res.simulated_seconds,
                      base / res.simulated_seconds, extra);
     bench::emit_json("fig5_lossy_scaling",
@@ -146,9 +123,9 @@ void run_figure(const bench::Workload& wl, int argc, char** argv) {
   std::printf("\n  The serial table reproduces the paper's flattening curve "
               "(rate stage ~60%% at 16 SPE); the distributed tail keeps the "
               "curve steep by hiding hull construction under Tier-1 and "
-              "coding precinct streams in parallel; the overlapped tail "
-              "additionally hides the serial lambda-scan/stitch residue "
-              "behind that parallel work.\n");
+              "coding precinct streams in parallel, and its overlap hides "
+              "the serial lambda-scan/stitch residue behind that parallel "
+              "work.\n");
   maybe_write_trace(img, p, argc, argv);
 }
 

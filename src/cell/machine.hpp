@@ -79,7 +79,8 @@ struct StageTiming {
   double seconds = 0;       ///< Composed stage time.
   /// Seconds hidden by overlapping this stage with neighbouring work
   /// (serial-sum of the overlapped pieces minus the overlapped span).
-  /// Zero for phase-ordered stages; `seconds` already has it subtracted.
+  /// `seconds` already has it subtracted, so seconds + overlap_saved is
+  /// the stage's phase-ordered time.  Zero for stages that do not overlap.
   double overlap_saved = 0;
   /// Seconds hidden *within* this stage by double-buffered tagged DMA
   /// (what the stage would have cost with synchronous transfers, minus

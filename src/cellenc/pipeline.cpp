@@ -360,7 +360,6 @@ PipelineResult CellEncoder::encode(const Image& img,
   }
 
   PipelineResult res;
-  const auto& cp = machine_.model().params();
 
   ScopedAudit audit(machine_, opt.audit);
   ScopedTrace trace(machine_, opt.trace);
@@ -383,13 +382,10 @@ PipelineResult CellEncoder::encode(const Image& img,
 
   if (distribute_tail) {
     // --- Distributed lossy tail: k-way slope merge + serial greedy scan +
-    // precinct-parallel Tier-2 (byte-identical to jp2k::finish_tile).
-    // With overlap_lossy_tail the serial residue is pipelined against the
-    // parallel work (released sizing, streaming stitch). --------------------
-    RateTailOptions tail_opts;
-    tail_opts.overlap = opt.overlap_lossy_tail;
-    LossyTailResult tail =
-        stage_rate_tail(machine_, tile, img, params, hulls, tail_opts);
+    // precinct-parallel Tier-2 (byte-identical to jp2k::finish_tile), with
+    // the serial residue pipelined against the parallel work (released
+    // sizing, streaming stitch). -------------------------------------------
+    LossyTailResult tail = stage_rate_tail(machine_, tile, img, params, hulls);
     res.codestream = std::move(tail.codestream);
     res.stages.push_back(tail.rate_timing);
     res.stages.push_back(tail.t2_timing);
@@ -402,39 +398,12 @@ PipelineResult CellEncoder::encode(const Image& img,
     // time is charged from the work quantities it reports. -------------------
     jp2k::EncodeStats fstats;
     res.codestream = jp2k::finish_tile(tile, img, params, &fstats);
-
-    cell::TraceRecorder* rec = machine_.trace();
-    auto serial_stage = [&](cell::StageTiming& t, const char* span) {
-      t.seconds = t.ppe;
-      t.stall.ppe_serial = t.seconds;  // The whole stage is PPE-serial.
-      if (rec != nullptr && t.seconds > 0) {
-        const double t0 = rec->clock();
-        rec->emit_span(rec->ppe_track(0), span, "ppe", t0, t.seconds);
-        rec->emit_span(rec->driver_track(), t.name.c_str(), "stage", t0,
-                       t.seconds);
-        rec->advance_clock(t.seconds);
-      }
-    };
-
-    if (lossy_tail) {
-      cell::StageTiming rate_t;
-      rate_t.name = "rate";
-      rate_t.wall_seconds = fstats.rate_seconds;
-      rate_t.ppe = static_cast<double>(fstats.rate.passes_considered) *
-                   cp.ppe_rate_cycles_per_pass / cp.clock_hz;
-      serial_stage(rate_t, "rate (ppe serial)");
-      res.stages.push_back(rate_t);
-      res.serial_rate_seconds = rate_t.seconds;
+    for (auto& s : serial_tail(machine_.model().params(), machine_.trace(),
+                               fstats, res.codestream.size(), lossy_tail)) {
+      res.stages.push_back(std::move(s));
     }
-
-    cell::StageTiming t2_t;
-    t2_t.name = "t2";
-    t2_t.wall_seconds = fstats.t2_seconds;
-    t2_t.ppe = static_cast<double>(res.codestream.size()) *
-               cp.ppe_t2_cycles_per_byte / cp.clock_hz;
-    serial_stage(t2_t, "t2 (ppe serial)");
-    res.stages.push_back(t2_t);
-    res.serial_t2_seconds = t2_t.seconds;
+    res.serial_rate_seconds = res.stage_seconds("rate");
+    res.serial_t2_seconds = res.stage_seconds("t2");
   }
 
   for (const auto& s : res.stages) {

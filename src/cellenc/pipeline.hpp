@@ -33,22 +33,11 @@ struct PipelineOptions {
   /// precinct-parallel Tier-2, DESIGN.md §5).  Off reproduces the paper's
   /// serial-PPE rate/T2 baseline (Fig. 5's ~60% share at 16 SPEs).
   bool parallel_lossy_tail = true;
-  /// Overlap the distributed tail's serial residue with its parallel work
-  /// (released-sizing λ-scan overlap, streaming Tier-2 stitch, final-parts
-  /// reuse — DESIGN.md §5).  Off keeps the phase-ordered accounting of the
-  /// distributed tail (the serial-baseline toggle for A/B benches); the
-  /// codestream is byte-identical either way.  Ignored when
-  /// parallel_lossy_tail is false.
-  bool overlap_lossy_tail = true;
   /// Cell-invariant audit (cellcheck tier 2, DESIGN.md §6): per-stage DMA
   /// and Local Store ledger in PipelineResult::audit; strict mode fails the
   /// encode (AuditError) on the first inefficient transfer or LS
   /// over-budget allocation.
   cell::AuditConfig audit;
-  /// Multi-tile only: host processing order of the tiles (testing hook;
-  /// empty means index order).  The codestream is byte-identical for any
-  /// permutation — assembly and rate allocation use tile-index order.
-  std::vector<std::size_t> tile_order;
   /// Vector policy the stage kernels are instantiated on (DESIGN.md §13):
   /// the counting cell::Simd (timing truth, the default) or the uncounted
   /// host HostVec (wall-clock truth).  The codestream is byte-identical
@@ -85,7 +74,8 @@ struct PipelineResult {
   double serial_rate_seconds = 0;
   double serial_t2_seconds = 0;
   /// Seconds the overlapped tail hid versus its phase-ordered accounting
-  /// (sum of StageTiming::overlap_saved; zero with overlap_lossy_tail off).
+  /// (sum of StageTiming::overlap_saved; zero on serial-tail runs), so
+  /// simulated_seconds + overlap_saved_seconds is the phase-ordered time.
   double overlap_saved_seconds = 0;
   /// Seconds the tag-grouped double-buffered DMA hid versus fully
   /// synchronous transfers (sum of StageTiming::dma_overlap_saved).

@@ -39,11 +39,10 @@ int resolution_of(const jp2k::Subband& sb, int levels) {
 LossyTailResult stage_rate_tail(cell::Machine& m, jp2k::Tile& tile,
                                 const Image& img,
                                 const jp2k::CodingParams& params,
-                                HullCapture& hulls,
-                                const RateTailOptions& opts) {
+                                HullCapture& hulls) {
   const jp2k::TileGrid grid =
       jp2k::TileGrid::plan(img.width(), img.height(), 1, 1);
-  return stage_rate_tail_tiles(m, grid, {&tile}, img, params, hulls, opts);
+  return stage_rate_tail_tiles(m, grid, {&tile}, img, params, hulls);
 }
 
 LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
@@ -51,8 +50,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
                                       const std::vector<jp2k::Tile*>& tiles,
                                       const Image& img,
                                       const jp2k::CodingParams& params,
-                                      HullCapture& hulls,
-                                      const RateTailOptions& opts) {
+                                      HullCapture& hulls) {
   CJ2K_CHECK_MSG(params.rate > 0.0 || params.layers > 1,
                  "lossy tail needs a rate target or multiple layers");
   CJ2K_CHECK_MSG(tiles.size() == grid.num_tiles(),
@@ -134,13 +132,12 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
 
   // --- Final Tier-2 assembly.  With a rate target the last sizing pass
   // already coded the final selection, so its precinct streams are reused
-  // (the phase-ordered baseline recodes them; a pure layer ladder must too,
-  // because force_lossless_final_layer mutates the selection after
-  // allocation).  Otherwise the streams are coded on the host pool and
-  // then stitched; the streaming stitch that overlaps the two exists only
-  // on the virtual clock (the hand-off replay below).
-  const bool reuse_parts =
-      opts.overlap && params.rate > 0.0 && !last_parts.empty();
+  // (a pure layer ladder must recode them, because
+  // force_lossless_final_layer mutates the selection after allocation).
+  // Otherwise the streams are coded on the host pool and then stitched;
+  // the streaming stitch that overlaps the two exists only on the virtual
+  // clock (the hand-off replay below).
+  const bool reuse_parts = params.rate > 0.0 && !last_parts.empty();
   std::vector<std::vector<jp2k::T2PrecinctStream>> parts;
   if (reuse_parts) {
     parts = std::move(last_parts);
@@ -197,8 +194,8 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
   // Per-iteration rate model, charged with what each iteration actually
   // did: the scan walks `segments_consumed` segments after the per-block
   // reset, and the sizing pass codes that iteration's (not the final)
-  // precinct sizes.  Overlapped, a precinct's sizing job is released once
-  // the scan passes its gate (or stops), so the iteration span is
+  // precinct sizes.  A precinct's sizing job is released once the scan
+  // passes its gate (or stops), so the iteration span is
   // max(scan finish, released-sizing makespan); phase-ordered they add.
   CJ2K_CHECK_MSG(
       iter_part_bytes.size() == res.stats.scan_iterations.size(),
@@ -206,7 +203,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
   double scan_ppe = 0;       // Serial scan time, summed over iterations.
   double sizing_phase = 0;   // Phase-ordered sizing makespans.
   double span_overlap = 0;   // Overlapped per-iteration spans.
-  double sizing_busy_sum = 0;  // Replayed worker seconds, for attribution.
+  double sizing_busy_sum = 0;  // Released-sizing worker seconds.
   for (std::size_t i = 0; i < iter_part_bytes.size(); ++i) {
     const auto& rec = res.stats.scan_iterations[i];
     const double scan_finish =
@@ -223,33 +220,27 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
     }
     const auto sched =
         decomp::schedule_virtual_released(bytes, t2_speed, release);
-    span_overlap += std::max(scan_finish, sched.makespan);
-
-    const auto& mode_sched = opts.overlap ? sched : phase_sched;
-    for (double wt : mode_sched.worker_time) sizing_busy_sum += wt;
+    const double span = std::max(scan_finish, sched.makespan);
+    span_overlap += span;
+    for (double wt : sched.worker_time) sizing_busy_sum += wt;
     if (trc != nullptr) {
       std::snprintf(targs, sizeof targs,
                     "\"iteration\":%zu,\"segments_consumed\":%llu", i,
                     static_cast<unsigned long long>(rec.segments_consumed));
       trc->emit_span(trc->ppe_track(0), "rate: lambda scan", "rate", cursor,
                      scan_finish, targs);
-      // Overlapped, sizing jobs start as the scan releases their gates;
-      // phase-ordered they wait for the whole scan.
-      const double sizing_base =
-          opts.overlap ? cursor : cursor + scan_finish;
+      // Sizing jobs start as the scan releases their gates.
       for (std::size_t p = 0; p < bytes.size(); ++p) {
         if (bytes[p] <= 0.0) continue;
-        const int w = mode_sched.assignment[p];
+        const int w = sched.assignment[p];
         const double dur =
             bytes[p] * t2_speed[static_cast<std::size_t>(w)];
         std::snprintf(targs, sizeof targs, "\"part\":%zu,\"bytes\":%.0f", p,
                       bytes[p]);
         trc->emit_span(worker_track(w), "rate: sizing part", "rate",
-                       sizing_base + mode_sched.item_finish[p] - dur, dur,
-                       targs);
+                       cursor + sched.item_finish[p] - dur, dur, targs);
       }
-      cursor += opts.overlap ? std::max(scan_finish, sched.makespan)
-                             : scan_finish + phase_sched.makespan;
+      cursor += span;
     }
   }
 
@@ -259,28 +250,17 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
   res.rate_timing.dma_bytes = nsegs * kHullSegmentBytes;
   res.rate_timing.dma_aggregate =
       static_cast<double>(res.rate_timing.dma_bytes) / m.total_mem_bw();
+  // Phase-ordered, each iteration's sizing waits for its whole scan.
   const double rate_phase_sec = merge_sec + scan_ppe + sizing_phase;
-  if (opts.overlap) {
-    res.rate_timing.seconds = merge_sec + span_overlap;
-    res.rate_timing.overlap_saved =
-        rate_phase_sec - res.rate_timing.seconds;
-  } else {
-    res.rate_timing.seconds = rate_phase_sec;
-  }
+  res.rate_timing.seconds = merge_sec + span_overlap;
+  res.rate_timing.overlap_saved = rate_phase_sec - res.rate_timing.seconds;
 
   // Stall attribution (DESIGN.md §11): busy is the pool-averaged sizing
-  // work; the rest of the stage is the serial merge/scan residue
-  // (ppe-serial) plus, phase-ordered, the sizing pool's own imbalance.
+  // work; the rest of the stage is the serial merge/scan residue.
   const double npool = static_cast<double>(t2_speed.size());
   res.rate_timing.stall.busy = sizing_busy_sum / npool;
-  if (opts.overlap) {
-    res.rate_timing.stall.ppe_serial =
-        res.rate_timing.seconds - res.rate_timing.stall.busy;
-  } else {
-    res.rate_timing.stall.ppe_serial = merge_sec + scan_ppe;
-    res.rate_timing.stall.queue_empty =
-        sizing_phase - res.rate_timing.stall.busy;
-  }
+  res.rate_timing.stall.ppe_serial =
+      res.rate_timing.seconds - res.rate_timing.stall.busy;
 
   if (trc != nullptr) {
     std::snprintf(targs, sizeof targs,
@@ -355,52 +335,34 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
   res.t2_timing.dma_bytes = 2 * packet_bytes;  // bodies out, stitch reads.
   res.t2_timing.dma_aggregate =
       static_cast<double>(res.t2_timing.dma_bytes) / m.total_mem_bw();
-  // Phase-ordered baseline (PR-3 accounting): coding pass, then the serial
-  // stitch over the whole framed stream.
+  // Phase-ordered accounting: coding pass, then the serial stitch over the
+  // whole framed stream.
   const double t2_phase_sec =
       std::max(coding.makespan, res.t2_timing.dma_aggregate) +
       static_cast<double>(res.codestream.size()) *
           stitch_byte_sec;
-  if (opts.overlap) {
-    res.t2_timing.spe_compute = reuse_parts ? 0.0 : coding.makespan;
-    res.t2_timing.ppe = handoff.busy + handoff_overhead + framing_sec;
-    res.t2_timing.seconds =
-        std::max(handoff.makespan, res.t2_timing.dma_aggregate) +
-        handoff_overhead + framing_sec;
-    res.t2_timing.overlap_saved = t2_phase_sec - res.t2_timing.seconds;
-  } else {
-    res.t2_timing.spe_compute = coding.makespan;
-    res.t2_timing.ppe =
-        static_cast<double>(res.codestream.size()) * stitch_byte_sec;
-    res.t2_timing.seconds = t2_phase_sec;
-  }
+  res.t2_timing.spe_compute = reuse_parts ? 0.0 : coding.makespan;
+  res.t2_timing.ppe = handoff.busy + handoff_overhead + framing_sec;
+  res.t2_timing.seconds =
+      std::max(handoff.makespan, res.t2_timing.dma_aggregate) +
+      handoff_overhead + framing_sec;
+  res.t2_timing.overlap_saved = t2_phase_sec - res.t2_timing.seconds;
 
-  // Stall attribution.  Overlapped, the stage timeline is the streaming
-  // consumer's: its stitch/framing work is ppe-serial, its waits on
-  // unfinished precinct streams split into busy (the pool average was
-  // productive under the wait) and channel-stall (truly blocked), and any
-  // bandwidth excess is dma-wait.  Phase-ordered, the coding phase splits
-  // into busy / imbalance / bandwidth and the stitch is ppe-serial.
+  // Stall attribution.  The stage timeline is the streaming consumer's:
+  // its stitch/framing work is ppe-serial, its waits on unfinished
+  // precinct streams split into busy (the pool average was productive
+  // under the wait) and channel-stall (truly blocked), and any bandwidth
+  // excess is dma-wait.
   double coding_busy_sum = 0.0;
   for (double wt : coding.worker_time) coding_busy_sum += wt;
-  const double coding_busy_avg = coding_busy_sum / npool;
-  if (opts.overlap) {
-    const double pool_busy = reuse_parts ? 0.0 : coding_busy_avg;
-    res.t2_timing.stall.busy = std::min(handoff.stall, pool_busy);
-    res.t2_timing.stall.channel_stall =
-        handoff.stall - res.t2_timing.stall.busy;
-    res.t2_timing.stall.ppe_serial =
-        handoff.busy + handoff_overhead + framing_sec;
-    res.t2_timing.stall.dma_wait =
-        std::max(0.0, res.t2_timing.dma_aggregate - handoff.makespan);
-  } else {
-    res.t2_timing.stall.busy = coding_busy_avg;
-    res.t2_timing.stall.queue_empty = coding.makespan - coding_busy_avg;
-    res.t2_timing.stall.dma_wait =
-        std::max(0.0, res.t2_timing.dma_aggregate - coding.makespan);
-    res.t2_timing.stall.ppe_serial =
-        static_cast<double>(res.codestream.size()) * stitch_byte_sec;
-  }
+  const double pool_busy = reuse_parts ? 0.0 : coding_busy_sum / npool;
+  res.t2_timing.stall.busy = std::min(handoff.stall, pool_busy);
+  res.t2_timing.stall.channel_stall =
+      handoff.stall - res.t2_timing.stall.busy;
+  res.t2_timing.stall.ppe_serial =
+      handoff.busy + handoff_overhead + framing_sec;
+  res.t2_timing.stall.dma_wait =
+      std::max(0.0, res.t2_timing.dma_aggregate - handoff.makespan);
 
   if (trc != nullptr) {
     const double t2_t0 = trc->clock();
@@ -416,34 +378,25 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
                        t2_t0 + coding.item_finish[p] - dur, dur, targs);
       }
     }
-    if (opts.overlap) {
-      // The consumer's timeline: packet appends with channel-stall gaps.
-      double prev = 0.0;
-      for (std::size_t k = 0; k < handoff.finish.size(); ++k) {
-        const double start = handoff.finish[k] - pkt_cost[k];
-        if (start - prev > 1e-12) {
-          trc->emit_span(trc->ppe_track(0), "stall: channel", "stall",
-                         t2_t0 + prev, start - prev);
-        }
-        if (pkt_cost[k] > 1e-15) {
-          std::snprintf(targs, sizeof targs, "\"packet\":%zu", k);
-          trc->emit_span(trc->ppe_track(0), "t2: stitch packet", "t2",
-                         t2_t0 + start, pkt_cost[k], targs);
-        }
-        prev = handoff.finish[k];
+    // The consumer's timeline: packet appends with channel-stall gaps.
+    double prev = 0.0;
+    for (std::size_t k = 0; k < handoff.finish.size(); ++k) {
+      const double start = handoff.finish[k] - pkt_cost[k];
+      if (start - prev > 1e-12) {
+        trc->emit_span(trc->ppe_track(0), "stall: channel", "stall",
+                       t2_t0 + prev, start - prev);
       }
-      const double tail = handoff_overhead + framing_sec;
-      if (tail > 0.0) {
-        trc->emit_span(trc->ppe_track(0), "t2: handoff + framing", "t2",
-                       t2_t0 + res.t2_timing.seconds - tail, tail);
+      if (pkt_cost[k] > 1e-15) {
+        std::snprintf(targs, sizeof targs, "\"packet\":%zu", k);
+        trc->emit_span(trc->ppe_track(0), "t2: stitch packet", "t2",
+                       t2_t0 + start, pkt_cost[k], targs);
       }
-    } else {
-      const double phase1 =
-          std::max(coding.makespan, res.t2_timing.dma_aggregate);
-      const double stitch_all =
-          static_cast<double>(res.codestream.size()) * stitch_byte_sec;
-      trc->emit_span(trc->ppe_track(0), "t2: stitch + framing", "t2",
-                     t2_t0 + phase1, stitch_all);
+      prev = handoff.finish[k];
+    }
+    const double tail = handoff_overhead + framing_sec;
+    if (tail > 0.0) {
+      trc->emit_span(trc->ppe_track(0), "t2: handoff + framing", "t2",
+                     t2_t0 + res.t2_timing.seconds - tail, tail);
     }
     std::snprintf(targs, sizeof targs,
                   "\"packets\":%zu,\"bytes\":%zu,\"reused_parts\":%s,"
@@ -464,6 +417,41 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
                           cp.ppe_t2_cycles_per_byte / hz;
   res.t2_timing.wall_seconds = wall.seconds();
   return res;
+}
+
+std::vector<cell::StageTiming> serial_tail(const cell::CostParams& cp,
+                                           cell::TraceRecorder* trace,
+                                           const jp2k::EncodeStats& stats,
+                                           std::size_t codestream_bytes,
+                                           bool lossy) {
+  std::vector<cell::StageTiming> stages;
+  auto serial_stage = [&](const char* name, const char* span, double ppe,
+                          double wall_seconds) {
+    cell::StageTiming t;
+    t.name = name;
+    t.wall_seconds = wall_seconds;
+    t.ppe = ppe;
+    t.seconds = t.ppe;
+    t.stall.ppe_serial = t.seconds;  // The whole stage is PPE-serial.
+    if (trace != nullptr && t.seconds > 0) {
+      const double t0 = trace->clock();
+      trace->emit_span(trace->ppe_track(0), span, "ppe", t0, t.seconds);
+      trace->emit_span(trace->driver_track(), name, "stage", t0, t.seconds);
+      trace->advance_clock(t.seconds);
+    }
+    stages.push_back(std::move(t));
+  };
+  if (lossy) {
+    serial_stage("rate", "rate (ppe serial)",
+                 static_cast<double>(stats.rate.passes_considered) *
+                     cp.ppe_rate_cycles_per_pass / cp.clock_hz,
+                 stats.rate_seconds);
+  }
+  serial_stage("t2", "t2 (ppe serial)",
+               static_cast<double>(codestream_bytes) *
+                   cp.ppe_t2_cycles_per_byte / cp.clock_hz,
+               stats.t2_seconds);
+  return stages;
 }
 
 }  // namespace cj2k::cellenc

@@ -28,15 +28,20 @@
 //     the pool still codes later precincts.  The host codes every stream
 //     and then stitches; only the virtual clock overlaps the two;
 //   * when a rate target drove the allocation, the last sizing pass already
-//     coded the final selection, so its precinct streams are reused verbatim
-//     (the phase-ordered tail recodes them).
-// RateTailOptions::overlap toggles between the overlapped model and the
-// phase-ordered PR-3 accounting; the output bytes are identical either way.
+//     coded the final selection, so its precinct streams are reused verbatim.
+// Each stage reports as overlap_saved what the overlap hides against the
+// phase-ordered accounting (every iteration's scan, then its sizing; the
+// whole coding pass, then a serial stitch of the framed stream), so
+// seconds + overlap_saved is the phase-ordered tail's time.
+//
+// serial_tail charges the paper's own configuration instead: rate control
+// and Tier-2 run serially on the PPE through jp2k::finish_tile(s).
 //
 // The stage reuses jp2k's rate_control_*_presorted and t2_encode_precincts
 // directly, so the codestream is byte-identical to jp2k::encode.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -44,19 +49,11 @@
 #include "cellenc/stage_t1.hpp"
 #include "image/image.hpp"
 #include "jp2k/codestream.hpp"
+#include "jp2k/encoder.hpp"
 #include "jp2k/rate_control.hpp"
 #include "jp2k/tile_grid.hpp"
 
 namespace cj2k::cellenc {
-
-/// Knobs for the distributed lossy tail.
-struct RateTailOptions {
-  /// Overlap the serial residue with the parallel work: released-sizing
-  /// scan overlap, streaming stitch, final-parts reuse.  When false the
-  /// stage runs (and charges) the phase-ordered serial-baseline tail;
-  /// the emitted bytes are identical either way.
-  bool overlap = true;
-};
 
 struct LossyTailResult {
   std::vector<std::uint8_t> codestream;
@@ -76,8 +73,7 @@ struct LossyTailResult {
 LossyTailResult stage_rate_tail(cell::Machine& m, jp2k::Tile& tile,
                                 const Image& img,
                                 const jp2k::CodingParams& params,
-                                HullCapture& hulls,
-                                const RateTailOptions& opts = {});
+                                HullCapture& hulls);
 
 /// Multi-tile form: one global λ over the whole tile set (the worker lists
 /// in `hulls` carry segments from every tile, ordinals offset per tile), a
@@ -88,7 +84,18 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
                                       const std::vector<jp2k::Tile*>& tiles,
                                       const Image& img,
                                       const jp2k::CodingParams& params,
-                                      HullCapture& hulls,
-                                      const RateTailOptions& opts = {});
+                                      HullCapture& hulls);
+
+/// The paper's serial tail (Fig. 5 baseline), charged from the work the
+/// serial jp2k::finish_tile / finish_tiles reported in `stats`: rate
+/// allocation at passes_considered x ppe_rate_cycles_per_pass, Tier-2 and
+/// framing at codestream_bytes x ppe_t2_cycles_per_byte.  Returns the
+/// "rate" stage (lossy runs only) then "t2", each wholly PPE-serial, and
+/// emits their PPE and driver spans on `trace` when it is non-null.
+std::vector<cell::StageTiming> serial_tail(const cell::CostParams& cp,
+                                           cell::TraceRecorder* trace,
+                                           const jp2k::EncodeStats& stats,
+                                           std::size_t codestream_bytes,
+                                           bool lossy);
 
 }  // namespace cj2k::cellenc

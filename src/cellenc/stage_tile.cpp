@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -20,19 +19,6 @@
 namespace cj2k::cellenc {
 
 namespace {
-
-/// Code blocks one tile will contain, from geometry alone — the hull
-/// ordinal bases must be known before any tile's Tier-1 runs, whatever the
-/// processing order.  Matches make_block_grid's ceil_div grid exactly.
-std::size_t blocks_for_geometry(const jp2k::TileRect& r,
-                                const jp2k::CodingParams& params,
-                                std::size_t ncomp) {
-  std::size_t n = 0;
-  for (const auto& info : jp2k::subband_layout(r.w, r.h, params.levels)) {
-    n += ceil_div(info.w, params.cb_width) * ceil_div(info.h, params.cb_height);
-  }
-  return n * ncomp;
-}
 
 /// Converts a composed stage timing into a pipeline phase.  When the tile
 /// owns an SPE group, the whole composed stage time runs on that group: the
@@ -100,51 +86,28 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     gmachine.attach_trace(trec.get());
   }
 
-  // --- Host processing order (testing hook; output is independent of it).
-  std::vector<std::size_t> order = opt.tile_order;
-  if (order.empty()) {
-    order.resize(ntiles);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-  }
-  CJ2K_CHECK_MSG(order.size() == ntiles, "tile_order must list every tile");
-  {
-    std::vector<bool> seen(ntiles, false);
-    for (std::size_t k : order) {
-      CJ2K_CHECK_MSG(k < ntiles && !seen[k],
-                     "tile_order must be a permutation of the tile indices");
-      seen[k] = true;
-    }
-  }
-
   // HT tiles never take a lossy tail (no truncation points → no PCRD);
   // they flow through the lossless-shaped per-tile Tier-2 pipeline below.
   const bool lossy_tail = jp2k::uses_pcrd_rate_control(params);
   const bool distribute_tail = lossy_tail && opt.parallel_lossy_tail;
 
-  // --- Hull ordinal bases: cumulative block counts in tile-index order
-  // (the same bases jp2k::finish_tiles derives from the built tiles), so
-  // the merged slope order is a strict total order over the whole image.
-  std::vector<std::uint64_t> bases(ntiles, 0);
-  {
-    std::uint64_t base = 0;
-    for (std::size_t i = 0; i < ntiles; ++i) {
-      bases[i] = base;
-      base += blocks_for_geometry(grid.tile(i), params, img.components());
-    }
-  }
-
-  // --- Run every tile's front on the group machine, tagged with its tile
-  // index so strict-audit reports name the offending tile.
+  // --- Run every tile's front on the group machine in tile-index order,
+  // tagged with its tile index so strict-audit reports name the offending
+  // tile.  A tile's hull ordinal base is the block count of the tiles
+  // before it (the same bases jp2k::finish_tiles derives), so the merged
+  // slope order is a strict total order over the whole image.
   std::vector<TileFrontResult> fronts(ntiles);
   std::vector<HullCapture> hulls(ntiles);
-  for (std::size_t k : order) {
+  std::uint64_t ordinal_base = 0;
+  for (std::size_t k = 0; k < ntiles; ++k) {
     cell::AuditTileScope tile_scope(static_cast<int>(k));
     const jp2k::TileRect rect = grid.tile(k);
     const Image timg = jp2k::extract_tile(img, rect);
     hulls[k].wavelet = params.wavelet;
-    hulls[k].ordinal_base = bases[k];
+    hulls[k].ordinal_base = ordinal_base;
     fronts[k] = encode_tile_front(gmachine, timg, params, opt,
                                   distribute_tail ? &hulls[k] : nullptr);
+    ordinal_base += jp2k::tile_block_count(fronts[k].tile);
     res.t1_symbols += fronts[k].t1_symbols;
     res.hull_extra_seconds += fronts[k].hull_extra_seconds;
     res.hull_serial_seconds += fronts[k].hull_serial_seconds;
@@ -165,11 +128,11 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     }
   }
 
-  // --- Pipeline phase lists, one item per tile in processing order.
+  // --- Pipeline phase lists, one item per tile.
   std::vector<std::vector<decomp::PipelinePhase>> items(ntiles);
-  for (std::size_t j = 0; j < ntiles; ++j) {
-    for (const auto& s : fronts[order[j]].stages) {
-      items[j].push_back(to_phase(s, gp.spes_per_group));
+  for (std::size_t k = 0; k < ntiles; ++k) {
+    for (const auto& s : fronts[k].stages) {
+      items[k].push_back(to_phase(s, gp.spes_per_group));
     }
   }
 
@@ -178,11 +141,11 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
   auto emit_waves = [&](const decomp::PipelineSchedule& ps) {
     if (!trec) return;
     char args[64];
-    for (std::size_t j = 0; j < ntiles; ++j) {
-      std::snprintf(args, sizeof args, "\"tile\":%zu,\"group\":%zu", order[j],
-                    ps.item_group[j]);
+    for (std::size_t k = 0; k < ntiles; ++k) {
+      std::snprintf(args, sizeof args, "\"tile\":%zu,\"group\":%zu", k,
+                    ps.item_group[k]);
       trec->emit_instant(trec->driver_track(), "tile wave finish", "tile",
-                         ps.item_finish[j], args);
+                         ps.item_finish[k], args);
     }
     std::snprintf(args, sizeof args, "\"tiles\":%zu,\"groups\":%zu", ntiles,
                   gp.groups);
@@ -216,10 +179,8 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     std::vector<jp2k::Tile*> ptrs;
     ptrs.reserve(ntiles);
     for (auto& f : fronts) ptrs.push_back(&f.tile);
-    RateTailOptions tail_opts;
-    tail_opts.overlap = opt.overlap_lossy_tail;
-    LossyTailResult tail = stage_rate_tail_tiles(machine, grid, ptrs, img,
-                                                 params, merged, tail_opts);
+    LossyTailResult tail =
+        stage_rate_tail_tiles(machine, grid, ptrs, img, params, merged);
     res.codestream = std::move(tail.codestream);
     res.stages.push_back(tail.rate_timing);
     res.stages.push_back(tail.t2_timing);
@@ -244,38 +205,14 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     for (auto& f : fronts) tiles.push_back(std::move(f.tile));
     jp2k::EncodeStats fstats;
     res.codestream = jp2k::finish_tiles(tiles, grid, img, params, &fstats);
-
-    auto serial_stage = [&](cell::StageTiming& t, const char* span) {
-      t.seconds = t.ppe;
-      t.stall.ppe_serial = t.seconds;
-      if (trec && t.seconds > 0) {
-        const double t0 = trec->clock();
-        trec->emit_span(trec->ppe_track(0), span, "ppe", t0, t.seconds);
-        trec->emit_span(trec->driver_track(), t.name.c_str(), "stage", t0,
-                        t.seconds);
-        trec->advance_clock(t.seconds);
-      }
-    };
-
-    cell::StageTiming rate_t;
-    rate_t.name = "rate";
-    rate_t.wall_seconds = fstats.rate_seconds;
-    rate_t.ppe = static_cast<double>(fstats.rate.passes_considered) *
-                 cp.ppe_rate_cycles_per_pass / hz;
-    serial_stage(rate_t, "rate (ppe serial)");
-    res.stages.push_back(rate_t);
-    res.serial_rate_seconds = rate_t.seconds;
-
-    cell::StageTiming t2_t;
-    t2_t.name = "t2";
-    t2_t.wall_seconds = fstats.t2_seconds;
-    t2_t.ppe = static_cast<double>(res.codestream.size()) *
-               cp.ppe_t2_cycles_per_byte / hz;
-    serial_stage(t2_t, "t2 (ppe serial)");
-    res.stages.push_back(t2_t);
-    res.serial_t2_seconds = t2_t.seconds;
-
-    res.simulated_seconds = front_makespan + rate_t.seconds + t2_t.seconds;
+    for (auto& s : serial_tail(cp, trec.get(), fstats, res.codestream.size(),
+                               /*lossy=*/true)) {
+      res.stages.push_back(std::move(s));
+    }
+    res.serial_rate_seconds = res.stage_seconds("rate");
+    res.serial_t2_seconds = res.stage_seconds("t2");
+    res.simulated_seconds =
+        front_makespan + res.serial_rate_seconds + res.serial_t2_seconds;
   } else {
     // --- Lossless tail: each tile's Tier-2 is an independent serial PPE
     // slot appended to that tile's phase list, so it pipelines under later
@@ -289,13 +226,12 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     Timer t2_wall;
     cell::StageTiming t2_t;
     t2_t.name = "t2";
-    for (std::size_t j = 0; j < ntiles; ++j) {
-      const std::size_t k = order[j];
+    for (std::size_t k = 0; k < ntiles; ++k) {
       packets[k] = jp2k::t2_encode(fronts[k].tile);
       decomp::PipelinePhase ph;
       ph.serial = static_cast<double>(packets[k].size() + overhead) *
                   cp.ppe_t2_cycles_per_byte / hz;
-      items[j].push_back(ph);
+      items[k].push_back(ph);
       t2_t.ppe += ph.serial;
     }
     t2_t.seconds = t2_t.ppe;
@@ -327,13 +263,11 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
   // cross-tile rate/Tier-2 tail as the barrier phase — pool-side for the
   // distributed tail (set in its branch above), serial for the baseline.
   res.tile_items.assign(ntiles, decomp::PipelinePhase{});
-  for (std::size_t j = 0; j < ntiles; ++j) {
-    decomp::PipelinePhase it;
-    for (const auto& ph : items[j]) {
-      it.pool += ph.pool;
-      it.serial += ph.serial;
+  for (std::size_t k = 0; k < ntiles; ++k) {
+    for (const auto& ph : items[k]) {
+      res.tile_items[k].pool += ph.pool;
+      res.tile_items[k].serial += ph.serial;
     }
-    res.tile_items[order[j]] = it;
   }
   if (lossy_tail && !distribute_tail) {
     res.tail_phase.serial = res.serial_rate_seconds + res.serial_t2_seconds;

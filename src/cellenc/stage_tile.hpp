@@ -6,10 +6,10 @@
 // pipeline schedule (decomp::schedule_pipeline) so a later tile's SPE work
 // hides an earlier tile's PPE time.
 //
-// The codestream is assembled in tile-index order whatever the processing
-// order, and the lossy path feeds every tile's hull segments into one
-// k-way merge, so a single global λ holds over the whole image — output is
-// byte-identical to jp2k::encode with the same tile grid.
+// Tiles run and are assembled in tile-index order, and the lossy path feeds
+// every tile's hull segments into one k-way merge, so a single global λ
+// holds over the whole image — output is byte-identical to jp2k::encode
+// with the same tile grid.
 #pragma once
 
 #include "cellenc/pipeline.hpp"

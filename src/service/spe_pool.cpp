@@ -11,9 +11,8 @@ SpePool::SpePool(const cell::MachineConfig& pool, int group_spes)
   CJ2K_CHECK_MSG(pool.num_spes >= 1, "SpePool needs at least one SPE");
   CJ2K_CHECK_MSG(group_spes >= 1, "group_spes must be positive");
   group_spes_ = std::min(group_spes, pool.num_spes);
-  const std::size_t groups = std::max<std::size_t>(
+  num_groups_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(pool.num_spes / group_spes_));
-  busy_.assign(groups, false);
 }
 
 int SpePool::unused_spes() const {
@@ -34,43 +33,6 @@ cell::MachineConfig SpePool::lease_config(std::size_t groups) const {
                         static_cast<double>(groups) /
                         static_cast<double>(total);
   return mc;
-}
-
-std::vector<std::size_t> SpePool::acquire(std::size_t groups) {
-  CJ2K_CHECK_MSG(groups >= 1 && groups <= num_groups(),
-                 "lease width out of range");
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] {
-    return static_cast<std::size_t>(
-               std::count(busy_.begin(), busy_.end(), false)) >= groups;
-  });
-  std::vector<std::size_t> out;
-  out.reserve(groups);
-  for (std::size_t g = 0; g < busy_.size() && out.size() < groups; ++g) {
-    if (!busy_[g]) {
-      busy_[g] = true;
-      out.push_back(g);
-    }
-  }
-  return out;
-}
-
-void SpePool::release(const std::vector<std::size_t>& groups) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t g : groups) {
-      CJ2K_CHECK_MSG(g < busy_.size() && busy_[g],
-                     "release of a group that is not held");
-      busy_[g] = false;
-    }
-  }
-  cv_.notify_all();
-}
-
-std::size_t SpePool::free_groups() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::size_t>(
-      std::count(busy_.begin(), busy_.end(), false));
 }
 
 }  // namespace cj2k::service

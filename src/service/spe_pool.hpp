@@ -2,8 +2,10 @@
 //
 // One cell::MachineConfig describes the whole blade; the pool carves its
 // SPEs into equal-width lease groups (the same >=8-SPE group unit
-// decomp::plan_tile_groups uses inside one tiled encode) and hands groups
-// out to concurrent jobs.  A lease of N groups maps to a MachineConfig with
+// decomp::plan_tile_groups uses inside one tiled encode).  It only does the
+// carving arithmetic: which job holds which group is decided on the virtual
+// clock by service::schedule_service, so the pool keeps no lease state and
+// takes no lock.  A lease of N groups maps to a MachineConfig with
 // N*group_spes SPEs and a proportional share of the pool's PPE threads and
 // memory bandwidth — exactly how cellenc/stage_tile builds its per-group
 // machines, so a job encoded on a lease reproduces the group-machine
@@ -12,10 +14,7 @@
 // standalone full-pool encode; only the simulated timing changes.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <mutex>
-#include <vector>
 
 #include "cell/machine.hpp"
 
@@ -28,7 +27,7 @@ class SpePool {
   /// unused (reported by unused_spes()).
   SpePool(const cell::MachineConfig& pool, int group_spes);
 
-  std::size_t num_groups() const { return busy_.size(); }
+  std::size_t num_groups() const { return num_groups_; }
   int group_spes() const { return group_spes_; }
   int unused_spes() const;
   const cell::MachineConfig& pool_config() const { return pool_; }
@@ -38,43 +37,10 @@ class SpePool {
   /// (mirrors the group machines of cellenc/stage_tile).
   cell::MachineConfig lease_config(std::size_t groups) const;
 
-  /// Acquires `groups` group ids (lowest free ids first; the set need not
-  /// be contiguous).  Blocks until enough groups are free.
-  std::vector<std::size_t> acquire(std::size_t groups);
-
-  /// Returns previously acquired groups to the pool.
-  void release(const std::vector<std::size_t>& groups);
-
-  std::size_t free_groups() const;
-
  private:
   cell::MachineConfig pool_;
   int group_spes_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<bool> busy_;
-};
-
-/// RAII group lease: acquires on construction, releases on destruction.
-class SpePoolLease {
- public:
-  SpePoolLease(SpePool& pool, std::size_t groups)
-      : pool_(pool), groups_(pool.acquire(groups)) {}
-  ~SpePoolLease() { pool_.release(groups_); }
-  SpePoolLease(const SpePoolLease&) = delete;
-  SpePoolLease& operator=(const SpePoolLease&) = delete;
-
-  const std::vector<std::size_t>& groups() const { return groups_; }
-  int spes() const {
-    return static_cast<int>(groups_.size()) * pool_.group_spes();
-  }
-  cell::MachineConfig machine_config() const {
-    return pool_.lease_config(groups_.size());
-  }
-
- private:
-  SpePool& pool_;
-  std::vector<std::size_t> groups_;
+  std::size_t num_groups_;
 };
 
 }  // namespace cj2k::service

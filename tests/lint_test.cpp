@@ -253,10 +253,10 @@ TEST(LintRegions, ServicePpeCodeIsNotAnSpeRegion) {
   // host threads and pool leases — std::thread / std::mutex / std::vector
   // are its bread and butter and must not trip the SPE-region rules, which
   // key on kernel signatures (SpeContext& / Simd& / DmaEngine&), not on
-  // directory.  This fixture pins that a lease-taking service function is
+  // directory.  This fixture pins that a pool-taking service function is
   // not a region.
   const std::string src =
-      "void run_jobs(service::SpePoolLease& lease,\n"
+      "void run_jobs(const service::SpePool& pool,\n"
       "              std::vector<service::EncodeJob>& jobs) {\n"
       "  std::mutex mu;\n"
       "  std::vector<std::thread> workers;\n"
