@@ -11,10 +11,8 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "decomp/chunk.hpp"
-#include "jp2k/dwt2d.hpp"
 #include "jp2k/encoder.hpp"
 #include "jp2k/ht_block.hpp"
-#include "jp2k/quant.hpp"
 #include "jp2k/rate_control.hpp"
 #include "jp2k/t2_encoder.hpp"
 #include "jp2k/tile_grid.hpp"
@@ -225,7 +223,6 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
 
     // --- DWT ----------------------------------------------------------------
     cell::StageTiming dwt_t;
-    dwt_t.name = "dwt";
     for (std::size_t c = 0; c < ncomp; ++c) {
       dwt_t += stage_dwt53(machine, work[c].view(), params.levels, dwt, bk);
     }
@@ -234,15 +231,8 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
 
     // --- Tile skeleton ------------------------------------------------------
     for (std::size_t c = 0; c < ncomp; ++c) {
-      jp2k::TileComponent tc;
-      for (const auto& info : jp2k::subband_layout(w, h, params.levels)) {
-        jp2k::Subband sb;
-        sb.info = info;
-        sb.quant_step = 1.0;
-        jp2k::make_block_grid(sb, params.cb_width, params.cb_height);
-        tc.subbands.push_back(std::move(sb));
-      }
-      tile.components.push_back(std::move(tc));
+      tile.components.push_back(
+          jp2k::make_component_skeleton(w, h, params));
       coeff_views.push_back(work[c].view());
     }
   } else if (params.fixed_point_97) {
@@ -264,17 +254,8 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
     cell::StageTiming quant_t;
     qplanes.reserve(ncomp);
     for (std::size_t c = 0; c < ncomp; ++c) {
-      jp2k::TileComponent tc;
-      for (const auto& info : jp2k::subband_layout(w, h, params.levels)) {
-        jp2k::Subband sb;
-        sb.info = info;
-        sb.quant_step = jp2k::quant_step_for_band(
-            jp2k::effective_base_quant_step(params), params.wavelet,
-            info.level, info.orient, params.levels);
-        jp2k::make_block_grid(sb, params.cb_width, params.cb_height);
-        tc.subbands.push_back(std::move(sb));
-      }
-      tile.components.push_back(std::move(tc));
+      tile.components.push_back(
+          jp2k::make_component_skeleton(w, h, params));
 
       qplanes.emplace_back(w, h);
       quant_t += stage_quant_fixed(machine, fxplanes[c].view(),
@@ -297,7 +278,6 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
 
     // --- DWT ----------------------------------------------------------------
     cell::StageTiming dwt_t;
-    dwt_t.name = "dwt";
     for (std::size_t c = 0; c < ncomp; ++c) {
       Span2d<float> fv(fplanes[c].data(), w, h, stride);
       dwt_t += stage_dwt97(machine, fv, params.levels, dwt, bk);
@@ -310,17 +290,8 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
     quant_t.name = "quant";
     qplanes.reserve(ncomp);
     for (std::size_t c = 0; c < ncomp; ++c) {
-      jp2k::TileComponent tc;
-      for (const auto& info : jp2k::subband_layout(w, h, params.levels)) {
-        jp2k::Subband sb;
-        sb.info = info;
-        sb.quant_step = jp2k::quant_step_for_band(
-            jp2k::effective_base_quant_step(params), params.wavelet,
-            info.level, info.orient, params.levels);
-        jp2k::make_block_grid(sb, params.cb_width, params.cb_height);
-        tc.subbands.push_back(std::move(sb));
-      }
-      tile.components.push_back(std::move(tc));
+      tile.components.push_back(
+          jp2k::make_component_skeleton(w, h, params));
 
       qplanes.emplace_back(w, h);
       Span2d<const float> fv(fplanes[c].data(), w, h, stride);

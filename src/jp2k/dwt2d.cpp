@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "jp2k/dwt53.hpp"
 #include "jp2k/dwt97.hpp"
+#include "jp2k/dwt_extend.hpp"
 
 namespace cj2k::jp2k {
 
@@ -197,24 +198,16 @@ double subband_synthesis_gain(WaveletKind kind, int level,
         for (std::size_t i = nl; i < len; ++i)
           scratch[2 * (i - nl) + 1] = data[i * stride];
         for (std::size_t i = 0; i < len; ++i) data[i * stride] = scratch[i];
-        const auto mirror = [len](std::ptrdiff_t i) {
-          const std::ptrdiff_t last = static_cast<std::ptrdiff_t>(len) - 1;
-          while (i < 0 || i > last) {
-            if (i < 0) i = -i;
-            if (i > last) i = 2 * last - i;
-          }
-          return static_cast<std::size_t>(i);
-        };
         const std::ptrdiff_t sn = static_cast<std::ptrdiff_t>(len);
         for (std::ptrdiff_t i = 0; i < sn; i += 2) {
           data[static_cast<std::size_t>(i) * stride] -=
-              0.25f * (data[mirror(i - 1) * stride] +
-                       data[mirror(i + 1) * stride]);
+              0.25f * (data[mirror(i - 1, len) * stride] +
+                       data[mirror(i + 1, len) * stride]);
         }
         for (std::ptrdiff_t i = 1; i < sn; i += 2) {
           data[static_cast<std::size_t>(i) * stride] +=
-              0.5f * (data[mirror(i - 1) * stride] +
-                      data[mirror(i + 1) * stride]);
+              0.5f * (data[mirror(i - 1, len) * stride] +
+                      data[mirror(i + 1, len) * stride]);
         }
       }
     };

@@ -1,23 +1,9 @@
 #include "jp2k/dwt53.hpp"
 
 #include "common/error.hpp"
+#include "jp2k/dwt_extend.hpp"
 
 namespace cj2k::jp2k::dwt53 {
-
-namespace {
-
-/// Whole-sample symmetric index extension into [0, n).
-std::size_t mirror(std::ptrdiff_t i, std::size_t n) {
-  const std::ptrdiff_t last = static_cast<std::ptrdiff_t>(n) - 1;
-  if (n == 1) return 0;
-  while (i < 0 || i > last) {
-    if (i < 0) i = -i;
-    if (i > last) i = 2 * last - i;
-  }
-  return static_cast<std::size_t>(i);
-}
-
-}  // namespace
 
 void lift_two_pass(Sample* data, std::size_t n, std::size_t stride) {
   if (n < 2) return;

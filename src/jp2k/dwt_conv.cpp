@@ -4,20 +4,11 @@
 #include <vector>
 
 #include "jp2k/dwt97.hpp"
+#include "jp2k/dwt_extend.hpp"
 
 namespace cj2k::jp2k::dwt_conv {
 
 namespace {
-
-std::size_t mirror(std::ptrdiff_t i, std::size_t n) {
-  const std::ptrdiff_t last = static_cast<std::ptrdiff_t>(n) - 1;
-  if (n == 1) return 0;
-  while (i < 0 || i > last) {
-    if (i < 0) i = -i;
-    if (i > last) i = 2 * last - i;
-  }
-  return static_cast<std::size_t>(i);
-}
 
 struct Taps97 {
   std::array<float, 9> low;

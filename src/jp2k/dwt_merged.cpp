@@ -5,22 +5,9 @@
 #include "common/error.hpp"
 #include "jp2k/dwt53.hpp"
 #include "jp2k/dwt97.hpp"
+#include "jp2k/dwt_extend.hpp"
 
 namespace cj2k::jp2k::dwt_merged {
-
-namespace {
-
-/// Mirrors a row index into [0, n) (whole-sample symmetric extension).
-std::ptrdiff_t mirror(std::ptrdiff_t i, std::ptrdiff_t n) {
-  if (n == 1) return 0;
-  while (i < 0 || i >= n) {
-    if (i < 0) i = -i;
-    if (i >= n) i = 2 * (n - 1) - i;
-  }
-  return i;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // 5/3
@@ -36,7 +23,7 @@ Traffic vertical_analyze_53(Span2d<Sample> group, std::vector<Sample>& aux) {
   aux.assign(nh * w, 0);
 
   const auto row = [&](std::ptrdiff_t i) {
-    return group.row(static_cast<std::size_t>(mirror(i, n)));
+    return group.row(mirror(i, group.height()));
   };
   // Row-wise predict: row[i] -= (row[i-1] + row[i+1]) >> 1  (i odd).
   const auto predict = [&](std::ptrdiff_t i) {
@@ -99,7 +86,7 @@ Traffic vertical_analyze_53_multipass(Span2d<Sample> group,
   if (n < 2) return t;
 
   const auto row = [&](std::ptrdiff_t i) {
-    return group.row(static_cast<std::size_t>(mirror(i, n)));
+    return group.row(mirror(i, group.height()));
   };
   // Pass 1: predict sweep over the whole group.
   for (std::ptrdiff_t i = 1; i < n; i += 2) {
@@ -150,7 +137,7 @@ Traffic vertical_analyze_97(Span2d<float> group, std::vector<float>& aux) {
   aux.assign(nh * w, 0.0f);
 
   const auto row = [&](std::ptrdiff_t i) {
-    return group.row(static_cast<std::size_t>(mirror(i, n)));
+    return group.row(mirror(i, group.height()));
   };
   const auto lift = [&](std::ptrdiff_t i, float c, std::ptrdiff_t parity) {
     if (i < parity || i >= n || ((i ^ parity) & 1)) return;
@@ -210,7 +197,7 @@ Traffic vertical_analyze_97_multipass(Span2d<float> group,
   if (n < 2) return t;
 
   const auto row = [&](std::ptrdiff_t i) {
-    return group.row(static_cast<std::size_t>(mirror(i, n)));
+    return group.row(mirror(i, group.height()));
   };
   const auto sweep = [&](float c, std::ptrdiff_t parity) {
     for (std::ptrdiff_t i = parity; i < n; i += 2) {

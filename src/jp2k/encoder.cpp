@@ -78,19 +78,6 @@ std::vector<std::size_t> plan_layer_budgets_tiles(
   return budgets;
 }
 
-/// Builds the subband skeleton for one component.
-TileComponent make_component_skeleton(std::size_t w, std::size_t h,
-                                      const CodingParams& p) {
-  TileComponent tc;
-  for (const auto& info : subband_layout(w, h, p.levels)) {
-    Subband sb;
-    sb.info = info;
-    make_block_grid(sb, p.cb_width, p.cb_height);
-    tc.subbands.push_back(std::move(sb));
-  }
-  return tc;
-}
-
 /// Runs the selected block coder over every block of a subband whose
 /// coefficients sit in `coeff_plane` at the band's offsets.
 void t1_over_band(Subband& sb, Span2d<const Sample> coeff_plane,
@@ -113,6 +100,23 @@ void t1_over_band(Subband& sb, Span2d<const Sample> coeff_plane,
 }
 
 }  // namespace
+
+TileComponent make_component_skeleton(std::size_t w, std::size_t h,
+                                      const CodingParams& p) {
+  TileComponent tc;
+  for (const auto& info : subband_layout(w, h, p.levels)) {
+    Subband sb;
+    sb.info = info;
+    if (p.wavelet != WaveletKind::kReversible53) {
+      sb.quant_step =
+          quant_step_for_band(effective_base_quant_step(p), p.wavelet,
+                              info.level, info.orient, p.levels);
+    }
+    make_block_grid(sb, p.cb_width, p.cb_height);
+    tc.subbands.push_back(std::move(sb));
+  }
+  return tc;
+}
 
 Tile build_tile(const Image& img, const CodingParams& params,
                 EncodeStats* stats) {
@@ -175,7 +179,6 @@ Tile build_tile(const Image& img, const CodingParams& params,
     for (std::size_t c = 0; c < ncomp; ++c) {
       TileComponent tc = make_component_skeleton(w, h, params);
       for (auto& sb : tc.subbands) {
-        sb.quant_step = 1.0;
         t1_over_band(sb, work[c].view(), params, stats);
       }
       tile.components.push_back(std::move(tc));
@@ -216,9 +219,6 @@ Tile build_tile(const Image& img, const CodingParams& params,
       TileComponent tc = make_component_skeleton(w, h, params);
       stage.reset();
       for (auto& sb : tc.subbands) {
-        sb.quant_step = quant_step_for_band(effective_base_quant_step(params),
-                                            params.wavelet, sb.info.level,
-                                            sb.info.orient, params.levels);
         for (std::size_t y = 0; y < sb.info.h; ++y) {
           quantize_fixed_row(fx[c].row(sb.info.y0 + y) + sb.info.x0,
                              qplane.row(sb.info.y0 + y) + sb.info.x0,
@@ -282,9 +282,6 @@ Tile build_tile(const Image& img, const CodingParams& params,
       Span2d<float> fview(fplanes[c].data(), w, h, stride);
       stage.reset();
       for (auto& sb : tc.subbands) {
-        sb.quant_step = quant_step_for_band(effective_base_quant_step(params),
-                                            params.wavelet, sb.info.level,
-                                            sb.info.orient, params.levels);
         quantize(fview.subview(sb.info.x0, sb.info.y0, sb.info.w, sb.info.h),
                  qplane.view().subview(sb.info.x0, sb.info.y0, sb.info.w,
                                        sb.info.h),

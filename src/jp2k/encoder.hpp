@@ -43,6 +43,11 @@ std::vector<std::uint8_t> encode(const Image& img, const CodingParams& params,
 Tile build_tile(const Image& img, const CodingParams& params,
                 EncodeStats* stats = nullptr);
 
+/// The subband skeleton of one w×h tile component: every band's layout and
+/// code-block grid, and its quantizer step (1 on the reversible path).
+TileComponent make_component_skeleton(std::size_t w, std::size_t h,
+                                      const CodingParams& params);
+
 /// Finishes a Tile into a codestream (rate control + T2 + framing);
 /// `img` supplies geometry/raw-size for the rate budget.
 std::vector<std::uint8_t> finish_tile(Tile& tile, const Image& img,
