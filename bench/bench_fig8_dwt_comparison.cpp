@@ -5,7 +5,7 @@
 
 #include "bench_common.hpp"
 #include "cellenc/muta_model.hpp"
-#include "jp2k/dwt53.hpp"
+#include "jp2k/dwt_merged.hpp"
 #include "jp2k/dwt_conv.hpp"
 #include "jp2k/encoder.hpp"
 
@@ -51,7 +51,7 @@ void BM_Lifting53Row(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<Sample> sig(n, 100), scratch(n);
   for (auto _ : state) {
-    jp2k::dwt53::analyze(sig.data(), n, 1, scratch.data());
+    jp2k::dwt_merged::row_analyze_53(sig.data(), n, scratch.data());
     benchmark::DoNotOptimize(sig.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -10,6 +10,7 @@
 #include "cell/cost_model.hpp"
 #include "cellenc/kernels.hpp"
 #include "jp2k/dwt97.hpp"
+#include "jp2k/dwt_merged.hpp"
 
 namespace {
 
@@ -101,7 +102,7 @@ void BM_Dwt97FixedScalar(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<jp2k::dwt97::Fix> sig(n, 1 << 13), scratch(n);
   for (auto _ : state) {
-    jp2k::dwt97::analyze_fixed(sig.data(), n, 1, scratch.data());
+    jp2k::dwt_merged::row_analyze_97_fixed(sig.data(), n, scratch.data());
     benchmark::DoNotOptimize(sig.data());
   }
 }
@@ -111,7 +112,7 @@ void BM_Dwt97FloatScalar(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<float> sig(n, 1.0f), scratch(n);
   for (auto _ : state) {
-    jp2k::dwt97::analyze(sig.data(), n, 1, scratch.data());
+    jp2k::dwt_merged::row_analyze_97(sig.data(), n, scratch.data());
     benchmark::DoNotOptimize(sig.data());
   }
 }

@@ -11,7 +11,6 @@
 
 #include "image/synth.hpp"
 #include "jp2k/dwt2d.hpp"
-#include "jp2k/dwt53.hpp"
 #include "jp2k/dwt_merged.hpp"
 
 using namespace cj2k;
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
       work.at(y, x) = img.plane(0).at(y, x) - 128;
     }
   }
-  jp2k::forward53(work.view(), levels);
+  jp2k::forward53({work.view()}, levels);
 
   std::printf("5/3 DWT of a %zux%zu photo, %d levels — subband energy:\n\n",
               n, n, levels);

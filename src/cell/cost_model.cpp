@@ -53,23 +53,6 @@ double CostModel::ppe_seconds(const OpCounters& c) const {
   return cycles / p_.clock_hz;
 }
 
-double CostModel::p4_seconds(const OpCounters& c,
-                             bool fixed_point_floats) const {
-  const double fmul = static_cast<double>(c.v_mul_f) * 4.0;  // lanes
-  const double lane_ops = 4.0 * static_cast<double>(
-      c.v_add + c.v_shift + c.v_cmp_sel + c.v_cvt + c.v_load + c.v_store);
-  const double imul_lane = 4.0 * static_cast<double>(c.v_mul_i_emul);
-  double cycles = lane_ops * p_.p4_lane_op +
-                  imul_lane * p_.p4_fix_mul64 +
-                  static_cast<double>(c.s_int) * p_.p4_scalar_op +
-                  static_cast<double>(c.s_float) * p_.p4_float_op +
-                  static_cast<double>(c.s_branch) * p_.p4_branch +
-                  static_cast<double>(c.t1_symbols) *
-                      p_.p4_t1_cycles_per_symbol;
-  cycles += fmul * (fixed_point_floats ? p_.p4_fix_mul64 : p_.p4_float_op);
-  return cycles / p_.clock_hz;
-}
-
 std::uint64_t CostModel::effective_dma_bytes(const OpCounters& c) const {
   // Penalize the share of transfers that missed the cache-line path.
   const std::uint64_t bytes = c.dma_bytes();

@@ -283,10 +283,10 @@ void simd_deinterleave_row(V& s, const T* in, T* even, T* odd,
 
 // --- Horizontal DWT row kernels ---------------------------------------------
 // One full in-LS row each: deinterleave into even/odd halves, lifting with
-// clamped mirror boundaries, (9/7) scaling — matching the serial analyze
-// functions bit for bit.
+// clamped mirror boundaries, (9/7) scaling — matching the host lifting
+// core's dwt_merged::row_analyze_* bit for bit.
 
-/// In-LS horizontal 5/3 of one row (matches dwt53::analyze).
+/// In-LS horizontal 5/3 of one row (matches dwt_merged::row_analyze_53).
 template <class V>
 void simd_dwt53_h_row(V& s, const Sample* in, Sample* even, Sample* odd,
                       std::size_t n) {
@@ -330,7 +330,7 @@ void simd_dwt53_h_row(V& s, const Sample* in, Sample* even, Sample* odd,
   }
 }
 
-/// In-LS horizontal 9/7 of one row (matches dwt97::analyze).
+/// In-LS horizontal 9/7 of one row (matches dwt_merged::row_analyze_97).
 template <class V>
 void simd_dwt97_h_row(V& s, const float* in, float* even, float* odd,
                       std::size_t n) {
@@ -491,7 +491,8 @@ void simd_quant_fixed_row(V& s, const Sample* in_q13, Sample* out,
   for (; i < n; ++i) scalar(i);
 }
 
-/// In-LS horizontal 9/7 in Q13 fixed point (matches dwt97::analyze_fixed).
+/// In-LS horizontal 9/7 in Q13 fixed point (matches
+/// dwt_merged::row_analyze_97_fixed).
 template <class V>
 void simd_dwt97_fixed_h_row(V& s, const Sample* in, Sample* even, Sample* odd,
                             std::size_t n) {

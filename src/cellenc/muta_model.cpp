@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cell/cost_model.hpp"
-#include "jp2k/dwt_conv.hpp"
 
 namespace cj2k::cellenc {
 

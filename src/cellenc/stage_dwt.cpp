@@ -7,7 +7,6 @@
 #include "cellenc/kernels.hpp"
 #include "common/aligned_buffer.hpp"
 #include "decomp/chunk.hpp"
-#include "jp2k/dwt53.hpp"
 #include "jp2k/dwt97.hpp"
 #include "jp2k/dwt_extend.hpp"
 #include "jp2k/dwt_merged.hpp"
@@ -69,7 +68,7 @@ struct Rev53 {
     jp2k::dwt_merged::vertical_analyze_53(region, scratch);
   }
   static void ppe_row(T* row, std::size_t n, T* scratch) {
-    jp2k::dwt53::analyze(row, n, 1, scratch);
+    jp2k::dwt_merged::row_analyze_53(row, n, scratch);
   }
 };
 
@@ -104,13 +103,12 @@ struct Irrev97 {
     jp2k::dwt_merged::vertical_analyze_97(region, scratch);
   }
   static void ppe_row(T* row, std::size_t n, T* scratch) {
-    jp2k::dwt97::analyze(row, n, 1, scratch);
+    jp2k::dwt_merged::row_analyze_97(row, n, scratch);
   }
 };
 
 /// 9/7 in Q13 fixed point: the float schedule with emulated-multiply
-/// lifting steps, and a plain per-column PPE remainder (the merged
-/// schedule is an SPE-side DMA optimization).
+/// lifting steps.
 struct Irrev97Q13 {
   using T = Sample;
   static constexpr const char* kName = "dwt97fx";
@@ -140,14 +138,10 @@ struct Irrev97Q13 {
     simd_dwt97_fixed_h_row(s, in, even, odd, n);
   }
   static void ppe_vertical(Span2d<T> region, std::vector<T>& scratch) {
-    scratch.resize(region.height());
-    for (std::size_t x = 0; x < region.width(); ++x) {
-      jp2k::dwt97::analyze_fixed(region.data() + x, region.height(),
-                                 region.stride(), scratch.data());
-    }
+    jp2k::dwt_merged::vertical_analyze_97_fixed(region, scratch);
   }
   static void ppe_row(T* row, std::size_t n, T* scratch) {
-    jp2k::dwt97::analyze_fixed(row, n, 1, scratch);
+    jp2k::dwt_merged::row_analyze_97_fixed(row, n, scratch);
   }
 };
 
@@ -391,12 +385,19 @@ cell::StageTiming dwt(cell::Machine& m, Span2d<typename F::T> plane,
         }
       }
     };
+    // The PPE runs the remainder columns, and the planned column groups
+    // too when there is no SPE to run them.
     auto vppe = [&](cell::OpCounters& c) {
-      const auto& rem = plan.remainder;
-      if (rem.width == 0) return;
-      F::ppe_vertical(plane.subview(rem.x0, 0, rem.width, hh), ppe_scratch);
-      F::ppe_ops(c) += static_cast<std::uint64_t>(rem.width) * hh *
-                       kPpeLiftOpsPerSample * F::kPpeCost;
+      const auto ppe_group = [&](const decomp::Chunk& ch) {
+        if (ch.width == 0) return;
+        F::ppe_vertical(plane.subview(ch.x0, 0, ch.width, hh), ppe_scratch);
+        F::ppe_ops(c) += static_cast<std::uint64_t>(ch.width) * hh *
+                         kPpeLiftOpsPerSample * F::kPpeCost;
+      };
+      if (m.num_spes() == 0) {
+        for (const auto& ch : plan.spe_chunks) ppe_group(ch);
+      }
+      ppe_group(plan.remainder);
     };
     total += m.run_data_parallel(vname, vwork, vppe);
 

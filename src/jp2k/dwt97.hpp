@@ -1,5 +1,4 @@
-// Irreversible 9/7 (CDF) lifting DWT, 1-D primitives, in two arithmetic
-// flavours:
+// Irreversible 9/7 (CDF) lifting constants, in two arithmetic flavours:
 //   * single-precision float — what the paper uses on the Cell SPE, where
 //     `fm` (6 cycles) beats the emulated 4-byte integer multiply
 //     (mpyh+mpyu+a = 16 cycles, Table 1);
@@ -7,11 +6,9 @@
 //     Pentium-IV comparison condition and the Table-1 bench.
 //
 // Convention: after analysis the low band has unit DC gain (samples are
-// divided by K) and the high band is multiplied by K.  analyze/synthesize
-// are exact inverses up to float rounding.
+// divided by K) and the high band is multiplied by K.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace cj2k::jp2k::dwt97 {
@@ -21,30 +18,6 @@ inline constexpr float kBeta = -0.052980118572961f;
 inline constexpr float kGamma = 0.882911075530934f;
 inline constexpr float kDelta = 0.443506852043971f;
 inline constexpr float kK = 1.230174104914001f;
-
-constexpr std::size_t low_count(std::size_t n) { return (n + 1) / 2; }
-constexpr std::size_t high_count(std::size_t n) { return n / 2; }
-
-/// Forward transform, in place, deinterleaved result (L then H).
-/// `scratch` must hold n floats.
-void analyze(float* data, std::size_t n, std::size_t stride, float* scratch);
-
-/// Inverse of analyze().
-void synthesize(float* data, std::size_t n, std::size_t stride,
-                float* scratch);
-
-/// The four lifting steps + scaling as *separate sweeps* over an interleaved
-/// signal (the naive 6-pass structure the paper starts from; the splitting
-/// pass is the deinterleave done elsewhere).
-void lift_multi_pass(float* data, std::size_t n, std::size_t stride);
-
-/// All four lifting steps + scaling fused into one sweep (the Kutil-style
-/// single loop the paper adopts for the lossy case).  Bit-identical to
-/// lift_multi_pass.
-void lift_interleaved(float* data, std::size_t n, std::size_t stride);
-
-/// Undoes lift_* (interleaved domain).
-void unlift(float* data, std::size_t n, std::size_t stride);
 
 // ---------------------------------------------------------------------------
 // Q13 fixed-point flavour (Jasper-style).  Values are int32 with 13
@@ -71,21 +44,13 @@ constexpr Fix fix_const(float v) {
   return static_cast<Fix>(v * (1 << kFixShift) + (v >= 0 ? 0.5f : -0.5f));
 }
 
-// The lifting constants in Q13, shared by the scalar kernels and the Cell
-// SIMD kernels (both must use the exact same values for bit equality).
+// The lifting constants in Q13, shared by the host lifting core and the
+// Cell SIMD kernels (both must use the exact same values for bit equality).
 inline constexpr Fix kFxAlpha = fix_const(kAlpha);
 inline constexpr Fix kFxBeta = fix_const(kBeta);
 inline constexpr Fix kFxGamma = fix_const(kGamma);
 inline constexpr Fix kFxDelta = fix_const(kDelta);
 inline constexpr Fix kFxK = fix_const(kK);
 inline constexpr Fix kFxInvK = fix_const(1.0f / kK);
-
-/// Forward transform on Q13 samples, in place, deinterleaved result.
-void analyze_fixed(Fix* data, std::size_t n, std::size_t stride,
-                   Fix* scratch);
-
-/// Inverse of analyze_fixed().
-void synthesize_fixed(Fix* data, std::size_t n, std::size_t stride,
-                      Fix* scratch);
 
 }  // namespace cj2k::jp2k::dwt97

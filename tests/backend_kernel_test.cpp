@@ -23,6 +23,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "dwt_reference.hpp"
 #include "backend/kernel_backend.hpp"
 #include "backend/native_simd.hpp"
 #include "cell/counters.hpp"
@@ -33,7 +34,6 @@
 #include "common/rng.hpp"
 #include "common/span2d.hpp"
 #include "image/synth.hpp"
-#include "jp2k/dwt53.hpp"
 #include "jp2k/dwt97.hpp"
 #include "jp2k/encoder.hpp"
 #include "jp2k/mct.hpp"
@@ -298,7 +298,7 @@ TYPED_TEST(BackendKernel, Dwt53HRowMatchesSerialAnalyzeAndReconstructs) {
     simd_dwt53_h_row(this->s_, in.data(), even.data(), odd.data(), n);
 
     std::vector<Sample> ref(in.data(), in.data() + n), scratch(n);
-    jp2k::dwt53::analyze(ref.data(), n, 1, scratch.data());
+    jp2k::ref::analyze53(ref.data(), n, 1, scratch.data());
     EXPECT_EQ(std::memcmp(even.data(), ref.data(), nl * sizeof(Sample)), 0)
         << n;
     EXPECT_EQ(std::memcmp(odd.data(), ref.data() + nl, nh * sizeof(Sample)),
@@ -309,7 +309,7 @@ TYPED_TEST(BackendKernel, Dwt53HRowMatchesSerialAnalyzeAndReconstructs) {
     std::vector<Sample> lh(n);
     std::copy(even.data(), even.data() + nl, lh.begin());
     std::copy(odd.data(), odd.data() + nh, lh.begin() + nl);
-    jp2k::dwt53::synthesize(lh.data(), n, 1, scratch.data());
+    jp2k::ref::synthesize53(lh.data(), n, 1, scratch.data());
     EXPECT_EQ(std::memcmp(lh.data(), in.data(), n * sizeof(Sample)), 0) << n;
   }
 }
@@ -325,7 +325,7 @@ TYPED_TEST(BackendKernel, Dwt97HRowMatchesSerialAnalyzeBitwise) {
     simd_dwt97_h_row(this->s_, in.data(), even.data(), odd.data(), n);
 
     std::vector<float> ref(in.data(), in.data() + n), scratch(n);
-    jp2k::dwt97::analyze(ref.data(), n, 1, scratch.data());
+    jp2k::ref::analyze97(ref.data(), n, 1, scratch.data());
     EXPECT_EQ(std::memcmp(even.data(), ref.data(), nl * sizeof(float)), 0)
         << n;
     EXPECT_EQ(std::memcmp(odd.data(), ref.data() + nl, nh * sizeof(float)),
@@ -345,7 +345,7 @@ TYPED_TEST(BackendKernel, Dwt97FixedHRowMatchesSerialAnalyze) {
     simd_dwt97_fixed_h_row(this->s_, in.data(), even.data(), odd.data(), n);
 
     std::vector<jp2k::dwt97::Fix> ref(in.data(), in.data() + n), scratch(n);
-    jp2k::dwt97::analyze_fixed(ref.data(), n, 1, scratch.data());
+    jp2k::ref::analyze97_fixed(ref.data(), n, 1, scratch.data());
     EXPECT_EQ(std::memcmp(even.data(), ref.data(), nl * sizeof(Sample)), 0)
         << n;
     EXPECT_EQ(std::memcmp(odd.data(), ref.data() + nl, nh * sizeof(Sample)),

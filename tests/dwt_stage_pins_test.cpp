@@ -14,15 +14,16 @@
 // the native HostVec policy, and every run must keep the DMA tag discipline
 // clean under the runtime audit.
 //
-// The "203x77 ... cg24 spe0" rows pin today's output, which is not a
-// wavelet transform: with fixed-width column groups and no SPE to run them,
-// only the PPE remainder columns get their vertical pass.  Their digests
-// differ from every other row of the same shape for that reason.
+// Every output digest must also equal the digest of the serial
+// jp2k::forward53/forward97/forward97_fixed on the same plane, so a pinned
+// digest is always a wavelet transform: at 0 SPEs the PPE runs the fixed
+// 24-element column groups as well as the remainder columns.
 //
 // If an *intentional* change lands, regenerate by running this suite and
 // copying the "actual" rows from the failure output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -36,6 +37,7 @@
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "image/image.hpp"
+#include "jp2k/dwt2d.hpp"
 
 namespace cj2k::cellenc {
 namespace {
@@ -88,6 +90,7 @@ std::string plane_digest(Span2d<T> p) {
 struct Result {
   cell::StageTiming timing;
   std::string digest;
+  std::string serial_digest;  ///< The serial transform of the same plane.
   cell::AuditReport audit;
 };
 
@@ -115,6 +118,10 @@ Result run(Filter f, const Shape& sh, const DwtOptions& opt, int spes,
         p(y, x) = static_cast<float>(rng.next_in(-128, 127));
       }
     }
+    std::vector<float> serial(p.data(), p.data() + stride * sh.height);
+    Span2d<float> sp(serial.data(), sh.width, sh.height, stride);
+    jp2k::forward97({sp}, kLevels);
+    r.serial_digest = plane_digest(sp);
     r.timing = stage_dwt97(m, p, kLevels, opt, bk);
     r.digest = plane_digest(p);
   } else {
@@ -126,6 +133,16 @@ Result run(Filter f, const Shape& sh, const DwtOptions& opt, int spes,
         p(y, x) = static_cast<Sample>(rng.next_in(-128, 127) * (1 << shift));
       }
     }
+    Plane serial(sh.width, sh.height);
+    for (std::size_t y = 0; y < sh.height; ++y) {
+      std::copy_n(p.row(y), sh.width, serial.row(y));
+    }
+    if (f == Filter::kQ13) {
+      jp2k::forward97_fixed({serial.view()}, kLevels);
+    } else {
+      jp2k::forward53({serial.view()}, kLevels);
+    }
+    r.serial_digest = plane_digest(serial.view());
     r.timing = f == Filter::kQ13 ? stage_dwt97_fixed(m, p, kLevels, opt, bk)
                                  : stage_dwt53(m, p, kLevels, opt, bk);
     r.digest = plane_digest(p);
@@ -159,6 +176,8 @@ void check_filter(Filter f, const std::vector<Pin>& pins) {
           EXPECT_EQ(cellr.audit.tag_hazards(), 0u) << cellr.audit.summary();
           EXPECT_EQ(native.audit.tag_hazards(), 0u) << native.audit.summary();
           EXPECT_EQ(cellr.audit.ls_over_budget, 0u);
+          EXPECT_EQ(cellr.digest, cellr.serial_digest)
+              << "not the serial transform of the same plane";
 
           const std::string timing = timing_text(cellr.timing);
           const Pin* pin = nullptr;
@@ -195,8 +214,8 @@ TEST(DwtStagePins, Reversible53) {
      "dwt53 seconds=0x1.222ed3fdee82dp-16 spe_compute=0x1.5b0c15371ed03p-18 spe_dma=0x1.410c7e8255c9fp-18 dma_aggregate=0x1.114d046a9dd89p-16 ppe=0x1.51088636656ccp-18 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=417024 busy=0x1.18771a3dc3daep-18 dma_wait=0x1.8e50e621878f3p-17 queue_empty=0x0p+0 ppe_serial=0x1.4e89a5db9c487p-20 channel_stall=0x0p+0",
      "18e0c90edebeba89a2cf626a44b659919ed1c67cc0dda3d04c71f3b3d806db8a"},
     {"203x77 merged cg24 spe0",
-     "dwt53 seconds=0x1.39e0cc5e1204p-14 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.39e0cc5e1204p-14 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.39e0cc5e1204p-14 channel_stall=0x0p+0",
-     "6343bc2b4dce63a6880447e56069c5d7793b715967d88b384dc4da9ce7e156f4"},
+     "dwt53 seconds=0x1.296d61ad441b6p-13 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.296d61ad441b6p-13 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.296d61ad441b6p-13 channel_stall=0x0p+0",
+     "18e0c90edebeba89a2cf626a44b659919ed1c67cc0dda3d04c71f3b3d806db8a"},
     {"203x77 merged cg24 spe1",
      "dwt53 seconds=0x1.c695e23b2f3c3p-15 spe_compute=0x1.19e6dbeca55a4p-15 spe_dma=0x1.56a8697c56a3dp-15 dma_aggregate=0x1.ac5283db6c4cep-16 ppe=0x1.0736ab0cde8acp-18 overlap_saved=0x0p+0 dma_overlap_saved=0x1.53f2c65b9983ep-16 dma_bytes=420864 busy=0x1.19e6dbeca55a4p-15 dma_wait=0x1.595e0c9d13c3fp-16 queue_empty=0x0p+0 ppe_serial=0x0p+0 channel_stall=0x0p+0",
      "18e0c90edebeba89a2cf626a44b659919ed1c67cc0dda3d04c71f3b3d806db8a"},
@@ -213,8 +232,8 @@ TEST(DwtStagePins, Reversible53) {
      "dwt53 seconds=0x1.b3e49e7aa9ea4p-16 spe_compute=0x1.5b0c15371ed03p-18 spe_dma=0x1.0e0bcb29227dp-17 dma_aggregate=0x1.a80b4c645ca0ep-16 ppe=0x1.51088636656ccp-18 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=647040 busy=0x1.18771a3dc3daep-18 dma_wait=0x1.59dff0401975ap-16 queue_empty=0x0p+0 ppe_serial=0x1.3e6e7ab1f7df5p-20 channel_stall=0x0p+0",
      "18e0c90edebeba89a2cf626a44b659919ed1c67cc0dda3d04c71f3b3d806db8a"},
     {"203x77 multipass cg24 spe0",
-     "dwt53 seconds=0x1.39e0cc5e1204p-14 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.39e0cc5e1204p-14 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.39e0cc5e1204p-14 channel_stall=0x0p+0",
-     "6343bc2b4dce63a6880447e56069c5d7793b715967d88b384dc4da9ce7e156f4"},
+     "dwt53 seconds=0x1.296d61ad441b6p-13 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.296d61ad441b6p-13 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.296d61ad441b6p-13 channel_stall=0x0p+0",
+     "18e0c90edebeba89a2cf626a44b659919ed1c67cc0dda3d04c71f3b3d806db8a"},
     {"203x77 multipass cg24 spe1",
      "dwt53 seconds=0x1.5de6901764cb7p-14 spe_compute=0x1.19e6dbeca55a4p-15 spe_dma=0x1.25efd3b7f87f4p-14 dma_aggregate=0x1.6f6bc8a5f69f3p-15 ppe=0x1.0736ab0cde8acp-18 overlap_saved=0x0p+0 dma_overlap_saved=0x1.53f2c65b9983dp-16 dma_bytes=654720 busy=0x1.19e6dbeca55a4p-15 dma_wait=0x1.a1e64442243ccp-15 queue_empty=0x0p+0 ppe_serial=0x0p+0 channel_stall=0x0p+0",
      "18e0c90edebeba89a2cf626a44b659919ed1c67cc0dda3d04c71f3b3d806db8a"},
@@ -231,7 +250,7 @@ TEST(DwtStagePins, Reversible53) {
      "dwt53 seconds=0x1.310281649987bp-21 spe_compute=0x1.dd24deb1a6abbp-22 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.09c0482f18c75p-23 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb2p-23 dma_bytes=3328 busy=0x1.dd24deb1a6abbp-25 dma_wait=0x0p+0 queue_empty=0x1.a18042db71d64p-22 ppe_serial=0x1.09c0482f18c75p-23 channel_stall=0x0p+0",
      "6343e82972cf0409032ed530516fafcdd18c29927532164b4f7d9af85864f39c"},
     {"203x1 merged cg24 spe0",
-     "dwt53 seconds=0x1.5af3ec7660599p-20 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.5af3ec7660599p-20 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.5af3ec7660599p-20 channel_stall=0x0p+0",
+     "dwt53 seconds=0x1.487f75abfea1p-19 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.487f75abfea1p-19 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.487f75abfea1p-19 channel_stall=0x0p+0",
      "6343e82972cf0409032ed530516fafcdd18c29927532164b4f7d9af85864f39c"},
     {"203x1 merged cg24 spe1",
      "dwt53 seconds=0x1.137b5ced96c6ep-21 spe_compute=0x1.dd24deb1a6abbp-22 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.27476ca61b882p-24 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb2p-23 dma_bytes=3328 busy=0x1.dd24deb1a6abbp-22 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.27476ca61b882p-24 channel_stall=0x0p+0",
@@ -249,7 +268,7 @@ TEST(DwtStagePins, Reversible53) {
      "dwt53 seconds=0x1.310281649987bp-21 spe_compute=0x1.dd24deb1a6abbp-22 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.09c0482f18c75p-23 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb2p-23 dma_bytes=3328 busy=0x1.dd24deb1a6abbp-25 dma_wait=0x0p+0 queue_empty=0x1.a18042db71d64p-22 ppe_serial=0x1.09c0482f18c75p-23 channel_stall=0x0p+0",
      "6343e82972cf0409032ed530516fafcdd18c29927532164b4f7d9af85864f39c"},
     {"203x1 multipass cg24 spe0",
-     "dwt53 seconds=0x1.5af3ec7660599p-20 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.5af3ec7660599p-20 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.5af3ec7660599p-20 channel_stall=0x0p+0",
+     "dwt53 seconds=0x1.487f75abfea1p-19 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.487f75abfea1p-19 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.487f75abfea1p-19 channel_stall=0x0p+0",
      "6343e82972cf0409032ed530516fafcdd18c29927532164b4f7d9af85864f39c"},
     {"203x1 multipass cg24 spe1",
      "dwt53 seconds=0x1.137b5ced96c6ep-21 spe_compute=0x1.dd24deb1a6abbp-22 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.27476ca61b882p-24 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb2p-23 dma_bytes=3328 busy=0x1.dd24deb1a6abbp-22 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.27476ca61b882p-24 channel_stall=0x0p+0",
@@ -308,8 +327,8 @@ TEST(DwtStagePins, Irreversible97) {
      "dwt97 seconds=0x1.2d23fa8618885p-16 spe_compute=0x1.702907e11febp-17 spe_dma=0x1.410c7e8255c9fp-18 dma_aggregate=0x1.114d046a9dd89p-16 ppe=0x1.f98cc95198233p-18 overlap_saved=0x0p+0 dma_overlap_saved=0x1.9309ffd58524bp-21 dma_bytes=417024 busy=0x1.1b45d6a3e623bp-17 dma_wait=0x1.0061cfa8ca391p-17 queue_empty=0x0p+0 ppe_serial=0x1.f50275fc059f9p-20 channel_stall=0x0p+0",
      "dab1b3794ae307d16ce183cf5fdc548b00c1aeeff881073a44145780601aed81"},
     {"203x77 merged cg24 spe0",
-     "dwt97 seconds=0x1.d6d1328d1b063p-14 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.d6d1328d1b063p-14 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.d6d1328d1b063p-14 channel_stall=0x0p+0",
-     "69f98e1d9ddad873622b9b08981efdbf5b825638b0e6cd40c040cf558b3c244e"},
+     "dwt97 seconds=0x1.be241283e6291p-13 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.be241283e6291p-13 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.be241283e6291p-13 channel_stall=0x0p+0",
+     "dab1b3794ae307d16ce183cf5fdc548b00c1aeeff881073a44145780601aed81"},
     {"203x77 merged cg24 spe1",
      "dwt97 seconds=0x1.37d8e7ebbfb4cp-14 spe_compute=0x1.1da17b9044306p-14 spe_dma=0x1.56a8697c56a3dp-15 dma_aggregate=0x1.ac5283db6c4cep-16 ppe=0x1.8ad200934dd02p-18 overlap_saved=0x0p+0 dma_overlap_saved=0x1.223990c55f9b1p-15 dma_bytes=420864 busy=0x1.1da17b9044306p-14 dma_wait=0x1.a376c5b7b846p-18 queue_empty=0x0p+0 ppe_serial=0x0p+0 channel_stall=0x0p+0",
      "dab1b3794ae307d16ce183cf5fdc548b00c1aeeff881073a44145780601aed81"},
@@ -326,8 +345,8 @@ TEST(DwtStagePins, Irreversible97) {
      "dwt97 seconds=0x1.58d9b5e95b78dp-15 spe_compute=0x1.702907e11febp-17 spe_dma=0x1.c49509abbf24ep-17 dma_aggregate=0x1.51a437824d4ccp-15 ppe=0x1.f98cc95198233p-18 overlap_saved=0x0p+0 dma_overlap_saved=0x1.609b53e18721dp-21 dma_bytes=1030400 busy=0x1.1b45d6a3e623bp-17 dma_wait=0x1.0370f8bb9313ap-15 queue_empty=0x0p+0 ppe_serial=0x1.d2e8f099db88ep-20 channel_stall=0x0p+0",
      "dab1b3794ae307d16ce183cf5fdc548b00c1aeeff881073a44145780601aed81"},
     {"203x77 multipass cg24 spe0",
-     "dwt97 seconds=0x1.d6d1328d1b063p-14 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.d6d1328d1b063p-14 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.d6d1328d1b063p-14 channel_stall=0x0p+0",
-     "69f98e1d9ddad873622b9b08981efdbf5b825638b0e6cd40c040cf558b3c244e"},
+     "dwt97 seconds=0x1.be241283e6291p-13 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.be241283e6291p-13 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.be241283e6291p-13 channel_stall=0x0p+0",
+     "dab1b3794ae307d16ce183cf5fdc548b00c1aeeff881073a44145780601aed81"},
     {"203x77 multipass cg24 spe1",
      "dwt97 seconds=0x1.3f669d42f16c4p-13 spe_compute=0x1.1da17b9044306p-14 spe_dma=0x1.f24887584e75bp-14 dma_aggregate=0x1.376d549731099p-14 ppe=0x1.8ad200934dd02p-18 overlap_saved=0x0p+0 dma_overlap_saved=0x1.223990c55f9b1p-15 dma_bytes=1044480 busy=0x1.1da17b9044306p-14 dma_wait=0x1.612bbef59ea83p-14 queue_empty=0x0p+0 ppe_serial=0x0p+0 channel_stall=0x0p+0",
      "dab1b3794ae307d16ce183cf5fdc548b00c1aeeff881073a44145780601aed81"},
@@ -344,7 +363,7 @@ TEST(DwtStagePins, Irreversible97) {
      "dwt97 seconds=0x1.09f5f8144e40ap-20 spe_compute=0x1.b043d516f3369p-21 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.8ea06c46a52bp-23 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb1p-23 dma_bytes=3328 busy=0x1.b043d516f3369p-24 dma_wait=0x0p+0 queue_empty=0x1.7a3b5a7414cfdp-21 ppe_serial=0x1.8ea06c46a52bp-23 channel_stall=0x0p+0",
      "e74e0b09e0dbd56973a01362f9632a4270b5cc22df9664c0c54bb4a557d2fde2"},
     {"203x1 merged cg24 spe0",
-     "dwt97 seconds=0x1.0436f158c8434p-19 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.0436f158c8434p-19 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.0436f158c8434p-19 channel_stall=0x0p+0",
+     "dwt97 seconds=0x1.ecbf3081fdf1ap-19 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.ecbf3081fdf1ap-19 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.ecbf3081fdf1ap-19 channel_stall=0x0p+0",
      "e74e0b09e0dbd56973a01362f9632a4270b5cc22df9664c0c54bb4a557d2fde2"},
     {"203x1 merged cg24 spe1",
      "dwt97 seconds=0x1.e7a1397618602p-21 spe_compute=0x1.b043d516f3369p-21 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.baeb22f9294c3p-24 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb1p-23 dma_bytes=3328 busy=0x1.b043d516f3369p-21 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.baeb22f9294c3p-24 channel_stall=0x0p+0",
@@ -362,7 +381,7 @@ TEST(DwtStagePins, Irreversible97) {
      "dwt97 seconds=0x1.09f5f8144e40ap-20 spe_compute=0x1.b043d516f3369p-21 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.8ea06c46a52bp-23 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb1p-23 dma_bytes=3328 busy=0x1.b043d516f3369p-24 dma_wait=0x0p+0 queue_empty=0x1.7a3b5a7414cfdp-21 ppe_serial=0x1.8ea06c46a52bp-23 channel_stall=0x0p+0",
      "e74e0b09e0dbd56973a01362f9632a4270b5cc22df9664c0c54bb4a557d2fde2"},
     {"203x1 multipass cg24 spe0",
-     "dwt97 seconds=0x1.0436f158c8434p-19 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.0436f158c8434p-19 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.0436f158c8434p-19 channel_stall=0x0p+0",
+     "dwt97 seconds=0x1.ecbf3081fdf1ap-19 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.ecbf3081fdf1ap-19 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.ecbf3081fdf1ap-19 channel_stall=0x0p+0",
      "e74e0b09e0dbd56973a01362f9632a4270b5cc22df9664c0c54bb4a557d2fde2"},
     {"203x1 multipass cg24 spe1",
      "dwt97 seconds=0x1.e7a1397618602p-21 spe_compute=0x1.b043d516f3369p-21 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.baeb22f9294c3p-24 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb1p-23 dma_bytes=3328 busy=0x1.b043d516f3369p-21 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.baeb22f9294c3p-24 channel_stall=0x0p+0",
@@ -421,8 +440,8 @@ TEST(DwtStagePins, Irreversible97FixedQ13) {
      "dwt97fx seconds=0x1.41d4e199379efp-16 spe_compute=0x1.db6dfa5977eb7p-17 spe_dma=0x1.410c7e8255c9fp-18 dma_aggregate=0x1.114d046a9dd89p-16 ppe=0x1.51088636656ccp-17 overlap_saved=0x0p+0 dma_overlap_saved=0x1.534d6b28ff0dfp-20 dma_bytes=417024 busy=0x1.59da66e943251p-17 dma_wait=0x1.4941677e69678p-18 queue_empty=0x1.9398ce987ee76p-20 ppe_serial=0x1.4aee3adb9e20ep-19 channel_stall=0x0p+0",
      "2310c4c9ab5076633f0aad74d77d75f989b8e702933270a58c59d5573543df18"},
     {"203x77 merged cg24 spe0",
-     "dwt97fx seconds=0x1.39e0cc5e1204p-13 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.39e0cc5e1204p-13 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.39e0cc5e1204p-13 channel_stall=0x0p+0",
-     "c204b26c1d26ae6648cd31602eb921bc310e9f6ffeb2f5240865449e6100fd8f"},
+     "dwt97fx seconds=0x1.296d61ad441b6p-12 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.296d61ad441b6p-12 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.296d61ad441b6p-12 channel_stall=0x0p+0",
+     "2310c4c9ab5076633f0aad74d77d75f989b8e702933270a58c59d5573543df18"},
     {"203x77 merged cg24 spe1",
      "dwt97fx seconds=0x1.5c5139ae77773p-14 spe_compute=0x1.5c5139ae77773p-14 spe_dma=0x1.56a8697c56a3dp-15 dma_aggregate=0x1.ac5283db6c4cep-16 ppe=0x1.0736ab0cde8acp-17 overlap_saved=0x0p+0 dma_overlap_saved=0x1.56a8697c56a3dp-15 dma_bytes=420864 busy=0x1.5c5139ae77773p-14 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x0p+0 channel_stall=0x0p+0",
      "2310c4c9ab5076633f0aad74d77d75f989b8e702933270a58c59d5573543df18"},
@@ -439,7 +458,7 @@ TEST(DwtStagePins, Irreversible97FixedQ13) {
      "dwt97fx seconds=0x1.26a65cf67b1cp-20 spe_compute=0x1.c86c95d569d45p-21 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.09c0482f18c75p-22 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb1p-23 dma_bytes=3328 busy=0x1.c86c95d569d45p-24 dma_wait=0x0p+0 queue_empty=0x1.8f5f031abc99dp-21 ppe_serial=0x1.09c0482f18c75p-22 channel_stall=0x0p+0",
      "cdab52c1faa3c96ced20afe11de41c3ab7e35ef77694fc948cef5b6c527bcc84"},
     {"203x1 merged cg24 spe0",
-     "dwt97fx seconds=0x1.5af3ec7660599p-19 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.5af3ec7660599p-19 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.5af3ec7660599p-19 channel_stall=0x0p+0",
+     "dwt97fx seconds=0x1.487f75abfea1p-18 spe_compute=0x0p+0 spe_dma=0x0p+0 dma_aggregate=0x0p+0 ppe=0x1.487f75abfea1p-18 overlap_saved=0x0p+0 dma_overlap_saved=0x0p+0 dma_bytes=0 busy=0x0p+0 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.487f75abfea1p-18 channel_stall=0x0p+0",
      "cdab52c1faa3c96ced20afe11de41c3ab7e35ef77694fc948cef5b6c527bcc84"},
     {"203x1 merged cg24 spe1",
      "dwt97fx seconds=0x1.091f387f785b3p-20 spe_compute=0x1.c86c95d569d45p-21 spe_dma=0x1.bead3593f1cb1p-23 dma_aggregate=0x1.172c417c771efp-23 ppe=0x1.27476ca61b882p-23 overlap_saved=0x0p+0 dma_overlap_saved=0x1.bead3593f1cb1p-23 dma_bytes=3328 busy=0x1.c86c95d569d45p-21 dma_wait=0x0p+0 queue_empty=0x0p+0 ppe_serial=0x1.27476ca61b882p-23 channel_stall=0x0p+0",
