@@ -101,9 +101,8 @@ constexpr Sample kFxInvBu = 14516;   // 1.772
 
 constexpr int kQ = 13;
 
-inline Sample fxmul(Sample a_q13, Sample b_q13) {
-  return static_cast<Sample>(
-      (static_cast<std::int64_t>(a_q13) * b_q13) >> kQ);
+inline std::int64_t fxmul(Sample a_q13, Sample b_q13) {
+  return (static_cast<std::int64_t>(a_q13) * b_q13) >> kQ;
 }
 
 }  // namespace
@@ -124,12 +123,15 @@ void shift_ict_forward_row_fixed(const Sample* r, const Sample* g,
 void ict_inverse_row_fixed(const Sample* y, const Sample* cb,
                            const Sample* cr, Sample* r, Sample* g, Sample* b,
                            std::size_t n) {
-  const Sample half = Sample{1} << (kQ - 1);
+  // 64-bit sums: the inputs may use all of the headroom inverse_fits grants.
+  constexpr std::int64_t half = std::int64_t{1} << (kQ - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    const Sample yy = y[i], u = cb[i], v = cr[i];
-    r[i] = (yy + fxmul(kFxInvRv, v) + half) >> kQ;
-    g[i] = (yy + fxmul(kFxInvGu, u) + fxmul(kFxInvGv, v) + half) >> kQ;
-    b[i] = (yy + fxmul(kFxInvBu, u) + half) >> kQ;
+    const std::int64_t yy = y[i];
+    const Sample u = cb[i], v = cr[i];
+    r[i] = static_cast<Sample>((yy + fxmul(kFxInvRv, v) + half) >> kQ);
+    g[i] = static_cast<Sample>(
+        (yy + fxmul(kFxInvGu, u) + fxmul(kFxInvGv, v) + half) >> kQ);
+    b[i] = static_cast<Sample>((yy + fxmul(kFxInvBu, u) + half) >> kQ);
   }
 }
 
