@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -35,9 +34,9 @@
 #include "common/aligned_buffer.hpp"
 #include "common/align.hpp"
 #include "common/rng.hpp"
-#include "common/sha256.hpp"
 #include "image/image.hpp"
 #include "jp2k/dwt2d.hpp"
+#include "stage_pins.hpp"
 
 namespace cj2k::cellenc {
 namespace {
@@ -55,37 +54,8 @@ const Shape kShapes[] = {
     {"203x77", 203, 77}, {"203x1", 203, 1}, {"1x77", 1, 77}};
 constexpr int kLevels = 3;
 
-struct Pin {
-  const char* key;
-  const char* timing;
-  const char* digest;
-};
-
-std::string timing_text(const cell::StageTiming& t) {
-  char buf[640];
-  std::snprintf(buf, sizeof(buf),
-                "%s seconds=%a spe_compute=%a spe_dma=%a dma_aggregate=%a "
-                "ppe=%a overlap_saved=%a dma_overlap_saved=%a dma_bytes=%llu "
-                "busy=%a dma_wait=%a queue_empty=%a ppe_serial=%a "
-                "channel_stall=%a",
-                t.name.c_str(), t.seconds, t.spe_compute, t.spe_dma,
-                t.dma_aggregate, t.ppe, t.overlap_saved, t.dma_overlap_saved,
-                static_cast<unsigned long long>(t.dma_bytes), t.stall.busy,
-                t.stall.dma_wait, t.stall.queue_empty, t.stall.ppe_serial,
-                t.stall.channel_stall);
-  return buf;
-}
-
-template <class T>
-std::string plane_digest(Span2d<T> p) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(p.width() * p.height() * sizeof(T));
-  for (std::size_t y = 0; y < p.height(); ++y) {
-    const auto* row = reinterpret_cast<const std::uint8_t*>(p.row(y));
-    bytes.insert(bytes.end(), row, row + p.width() * sizeof(T));
-  }
-  return common::sha256_hex(bytes);
-}
+using pins::Pin;
+using pins::plane_digest;
 
 struct Result {
   cell::StageTiming timing;
@@ -179,22 +149,10 @@ void check_filter(Filter f, const std::vector<Pin>& pins) {
           EXPECT_EQ(cellr.digest, cellr.serial_digest)
               << "not the serial transform of the same plane";
 
-          const std::string timing = timing_text(cellr.timing);
-          const Pin* pin = nullptr;
-          for (const Pin& p : pins) {
-            if (std::strcmp(p.key, key) == 0) pin = &p;
+          if (pins::check_pin(pins, key, cellr.timing, cellr.digest,
+                              native.digest)) {
+            ++checked;
           }
-          const std::string row = std::string("    {\"") + key +
-                                  "\",\n     \"" + timing + "\",\n     \"" +
-                                  cellr.digest + "\"},";
-          if (pin == nullptr) {
-            ADD_FAILURE() << "no pin; actual:\n" << row;
-            continue;
-          }
-          ++checked;
-          EXPECT_EQ(timing, pin->timing) << "actual:\n" << row;
-          EXPECT_EQ(cellr.digest, pin->digest) << "cell::Simd output";
-          EXPECT_EQ(native.digest, pin->digest) << "HostVec output";
         }
       }
     }
