@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "backend/native_simd.hpp"
 #include "cellenc/kernels.hpp"
 #include "common/aligned_buffer.hpp"
 #include "decomp/chunk.hpp"
@@ -214,12 +213,11 @@ class LsRing {
 
 /// Copies the parked high rows aux[0..) to the bottom half of the group: a
 /// compute-free fenced get->put chain on two Local Store rows at `buf0`.
-/// The barrier first makes sure the aux rows being re-read have actually
-/// landed in main memory.
+/// Callers drain every tag first, so the aux rows being re-read have
+/// actually landed in main memory.
 template <class T>
 void copy_back_high(cell::SpeContext& ctx, Span2d<T> plane, Span2d<T> aux,
                     std::size_t x0, std::size_t cw, std::size_t hh, T* buf0) {
-  ctx.dma.wait_all();
   T* buf[2] = {buf0, buf0 + cw};
   const std::size_t nl = (hh + 1) / 2;
   for (std::size_t j = 0; nl + j < hh; ++j) {
@@ -263,6 +261,7 @@ void spe_vertical_merged(cell::SpeContext& ctx, Span2d<typename F::T> plane,
     finish(f - F::kParkLag, 1, aux);
     finish(f - F::kEmitLag, 0, plane);
   }
+  ctx.dma.wait_all();
   copy_back_high(ctx, plane, aux, x0, cw, hh, ring.base());
   ctx.ls.reset();
 }
@@ -308,6 +307,7 @@ void split_sweep(cell::SpeContext& ctx, Span2d<T> plane, Span2d<T> aux,
       dma_put_row_tagged(ctx.dma, buf[t], aux.row(i / 2) + x0, cw, t);
     }
   }
+  ctx.dma.wait_all();
   copy_back_high(ctx, plane, aux, x0, cw, hh, buf0);
 }
 
@@ -464,9 +464,9 @@ template <class F>
 cell::StageTiming dwt_on(backend::BackendKind bk, cell::Machine& m,
                          Span2d<typename F::T> plane, int levels,
                          const DwtOptions& opt) {
-  return bk == backend::BackendKind::kNative
-             ? dwt<F, backend::HostVec>(m, plane, levels, opt)
-             : dwt<F, cell::Simd>(m, plane, levels, opt);
+  return with_policy(bk, [&](auto v) {
+    return dwt<F, typename decltype(v)::type>(m, plane, levels, opt);
+  });
 }
 
 }  // namespace

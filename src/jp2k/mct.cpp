@@ -135,6 +135,12 @@ void ict_inverse_row_fixed(const Sample* y, const Sample* cb,
   }
 }
 
+void shift_to_float_row(const Sample* x, float* out, std::size_t n,
+                        unsigned depth) {
+  const float off = static_cast<float>(Sample{1} << (depth - 1));
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(x[i]) - off;
+}
+
 void shift_to_fixed_row(const Sample* x, Sample* out, std::size_t n,
                         unsigned depth) {
   const Sample off = Sample{1} << (depth - 1);

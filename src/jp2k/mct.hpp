@@ -39,6 +39,11 @@ void ict_inverse_row(const float* y, const float* cb, const float* cr,
 void shift_rct_forward_row(Sample* r, Sample* g, Sample* b, std::size_t n,
                            unsigned depth);
 
+/// Level shift to float (lossy path without the colour transform):
+/// out = x - 2^(depth-1).
+void shift_to_float_row(const Sample* x, float* out, std::size_t n,
+                        unsigned depth);
+
 /// Merged level-shift + ICT forward (lossy path): integer unshifted RGB
 /// rows to float YCbCr rows.
 void shift_ict_forward_row(const Sample* r, const Sample* g, const Sample* b,

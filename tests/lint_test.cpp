@@ -239,6 +239,36 @@ TEST(LintRegions, RegionEndsAtClosingBrace) {
   EXPECT_TRUE(lint_source("t.cpp", src, {}).empty());
 }
 
+TEST(LintRegions, MembersOfADmaEngineHolderAreARegion) {
+  // A class that stores a DmaEngine& (the DWT's Local Store row ring)
+  // drives the engine from member functions whose signatures never name
+  // it; the whole class body is SPE code.  A class without such a member
+  // stays host code.
+  const std::string src =
+      "template <class T, std::size_t K>\n"
+      "class Ring {\n"
+      " public:\n"
+      "  void grow() { std::vector<T> bad; }\n"
+      "  void put(std::ptrdiff_t r) const {\n"
+      "    dma_put_row_tagged(dma_, slot(r), dst, n, tag(r));\n"
+      "  }\n"
+      " private:\n"
+      "  cell::DmaEngine& dma_;\n"
+      "};\n"
+      "class HostTable {\n"
+      "  void grow() { std::vector<int> fine; }\n"
+      "  cell::DmaEngine* engine_;\n"
+      "};\n";
+  const auto regions = find_spe_regions(strip_comments_and_strings(src));
+  ASSERT_EQ(regions.size(), 1u);
+  EXPECT_EQ(regions[0].first_line, 3u);
+  EXPECT_EQ(regions[0].last_line, 10u);
+  const auto vs = lint_source("t.cpp", src, {});
+  ASSERT_EQ(vs.size(), 1u) << format_violations(vs);
+  EXPECT_EQ(vs[0].rule, "spe-vector-growth");
+  EXPECT_EQ(vs[0].line, 4u);
+}
+
 TEST(LintRegions, StdFunctionTypeIsNotARegion) {
   // machine.hpp names the kernel convention as a std::function type; that
   // is a declaration, not SPE code.
@@ -493,6 +523,67 @@ TEST(FlowRules, ConditionalIssueCountsAsPendingAtTheJoin) {
       "dma.wait_all();\n";
   EXPECT_TRUE(has_rule(flow_source("t.cpp", src, flow_all()),
                        "dma-tag-unwaited"));
+}
+
+TEST(FlowRules, CastParityTagsResolve) {
+  // The read stage's chain tags `t = static_cast<unsigned>(k & 1)`: the
+  // cast keeps the parity, so the tags resolve and a chain missing its
+  // final drain is caught with both tags named.
+  const std::string src =
+      "void kernel(cell::SpeContext& ctx) {\n"
+      "  for (std::size_t k = 0; k < n; ++k) {\n"
+      "    const unsigned t = static_cast<unsigned>(k & 1);\n"
+      "    dma_getf_row_tagged(ctx.dma, buf[t], src(k), w, t);\n"
+      "    dma_putf_row_tagged(ctx.dma, buf[t], dst(k), w, t);\n"
+      "  }\n"
+      "}\n";
+  std::vector<RegionTagSummary> sums;
+  const auto vs = flow_source("t.cpp", src, {}, &sums);
+  ASSERT_EQ(vs.size(), 2u) << format_violations(vs);
+  EXPECT_NE(vs[0].message.find("tag 0"), std::string::npos);
+  EXPECT_NE(vs[1].message.find("tag 1"), std::string::npos);
+  ASSERT_EQ(sums.size(), 1u);
+  EXPECT_EQ(sums[0].resolved_issues, sums[0].issues);
+}
+
+TEST(FlowRules, IfConstexprArmsAreAlternatives) {
+  // A stage shared by in-place and out-of-place paths picks the fenced or
+  // the unfenced get per path: the arms never both run, so the unfenced
+  // arm does not re-target the buffer the fenced arm just issued on.  Each
+  // arm is still checked on its own: with a put in flight on the buffer,
+  // only the unfenced arm is a hazard.
+  const std::string ok =
+      "if constexpr (P::kInPlace) {\n"
+      "  dma_getf_row_tagged(dma, buf, src, n, 0);\n"
+      "} else {\n"
+      "  dma_get_row_tagged(dma, buf, src, n, 0);\n"
+      "}\n"
+      "dma.wait_tag(0);\n"
+      "consume(buf);\n";
+  EXPECT_TRUE(flow_source("t.cpp", ok, flow_all()).empty())
+      << format_violations(flow_source("t.cpp", ok, flow_all()));
+  const std::string bad =
+      "dma_put_row_tagged(dma, buf, dst, n, 0);\n"
+      "if constexpr (P::kInPlace) {\n"
+      "  dma_getf_row_tagged(dma, buf, src, n, 0);\n"
+      "} else {\n"
+      "  dma_get_row_tagged(dma, buf, src, n, 0);\n"
+      "}\n"
+      "dma.wait_all();\n";
+  const auto vs = flow_source("t.cpp", bad, flow_all());
+  ASSERT_EQ(vs.size(), 1u) << format_violations(vs);
+  EXPECT_EQ(vs[0].rule, "dma-tag-reuse-in-flight");
+  EXPECT_EQ(vs[0].line, 5u);
+}
+
+TEST(FlowRules, MemberEngineCallsAreEvents) {
+  // A DmaEngine held as the member `dma_` waits and touches like `dma`.
+  const std::string src =
+      "dma.get_async(buf, src, n, 3);\n"
+      "dma_.wait_tag(3);\n"
+      "dma_.touch(buf, n);\n";
+  EXPECT_TRUE(flow_source("t.cpp", src, flow_all()).empty())
+      << format_violations(flow_source("t.cpp", src, flow_all()));
 }
 
 TEST(FlowRules, LsAllocOverBudgetIsFlagged) {

@@ -196,11 +196,11 @@ std::optional<std::size_t> elem_size_of(std::string type) {
 
 // Engine issues (group 1) and row-helper issues (group 2).
 const std::regex kIssueCall(
-    R"(\bdma\s*\.\s*(get|put|getf|putf)_async\s*\(|\b(dma_(?:get|put|getf|putf)_row_tagged)\s*\()");
-const std::regex kWaitTagCall(R"(\bdma\s*\.\s*wait_tag\s*\()");
-const std::regex kWaitMaskCall(R"(\bdma\s*\.\s*wait_tag_mask\s*\()");
-const std::regex kWaitAllCall(R"(\bdma\s*\.\s*wait_all\s*\()");
-const std::regex kTouchCall(R"(\bdma\s*\.\s*touch\s*\()");
+    R"(\bdma_?\s*\.\s*(get|put|getf|putf)_async\s*\(|\b(dma_(?:get|put|getf|putf)_row_tagged)\s*\()");
+const std::regex kWaitTagCall(R"(\bdma_?\s*\.\s*wait_tag\s*\()");
+const std::regex kWaitMaskCall(R"(\bdma_?\s*\.\s*wait_tag_mask\s*\()");
+const std::regex kWaitAllCall(R"(\bdma_?\s*\.\s*wait_all\s*\()");
+const std::regex kTouchCall(R"(\bdma_?\s*\.\s*touch\s*\()");
 const std::regex kAllocCall(
     R"(\bls\s*\.\s*alloc\s*<\s*([^<>();]+?)\s*>\s*\(|\bls\s*\.\s*alloc_bytes\s*\()");
 const std::regex kLsResetCall(R"(\bls\s*\.\s*reset\s*\()");
@@ -212,6 +212,7 @@ const std::regex kCompoundAssign(
     R"(^\s*([A-Za-z_]\w*)\s*(?:\|=|&=|\^=|\+=|-=|\*=|/=|%=|<<=|>>=))");
 const std::regex kIncDec(
     R"((?:\+\+|--)\s*([A-Za-z_]\w*)|([A-Za-z_]\w*)\s*(?:\+\+|--))");
+const std::regex kCastWrap(R"(^static_cast\s*<[^<>()]*>\s*\((.*)\)$)");
 const std::regex kParityAnd(R"(&\s*1[uUlL]*\s*$)");
 const std::regex kParityXor(R"(^([A-Za-z_]\w*)\s*\^\s*1[uUlL]*$)");
 const std::regex kParityOneMinus(R"(^1\s*-\s*([A-Za-z_]\w*)$)");
@@ -407,8 +408,11 @@ class RegionAnalyzer {
   }
 
   void assign_var(const std::string& var, const std::string& rhs_raw) {
-    const std::string rhs = trim(rhs_raw);
+    std::string rhs = trim(rhs_raw);
     std::smatch m;
+    // `static_cast<unsigned>(k & 1)`: the cast keeps the value the tag
+    // model needs.
+    if (std::regex_match(rhs, m, kCastWrap)) rhs = trim(m[1]);
     if (const auto v = eval_int(rhs, env_)) {
       env_[var] = *v;
     } else if (std::regex_search(rhs, kParityAnd)) {
@@ -586,9 +590,10 @@ class RegionAnalyzer {
   }
 
   // --- branch forking -------------------------------------------------------
-  // `if`/`else if`/`else` chains run each arm from the state at the chain's
-  // entry, then union the resulting states: a transfer issued on any path
-  // counts as pending (and as issued), a constant variable survives only
+  // `if`/`else if`/`else` chains (`if constexpr` ones too) run each arm
+  // from the state at the chain's entry, then union the resulting states: a
+  // transfer issued on any path counts as pending (and as issued), a
+  // constant variable survives only
   // when every path agrees on its value.  An `if` with no `else` unions
   // with the untouched entry state (the fall-through path).
 
@@ -649,7 +654,7 @@ class RegionAnalyzer {
     run_block(shape->open_line + 1, close - 1);
     const Snapshot then_out = snap();
 
-    static const std::regex kElseIf(R"(\}\s*else\s+if\s*\()");
+    static const std::regex kElseIf(R"(\}\s*else\s+if\s*(?:constexpr\s*)?\()");
     static const std::regex kElse(R"(\}\s*else\b)");
     const std::string& close_line = lines_[close - 1];
     if (std::regex_search(close_line, kElseIf)) {
@@ -693,7 +698,7 @@ class RegionAnalyzer {
   }
 
   void run_block(std::size_t lo, std::size_t hi) {
-    static const std::regex kIfHead(R"(^\s*if\s*\()");
+    static const std::regex kIfHead(R"(^\s*if\s*(?:constexpr\s*)?\()");
     std::size_t li = lo;
     while (li <= hi) {
       const std::string& line = lines_[li - 1];

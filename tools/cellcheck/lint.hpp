@@ -100,8 +100,9 @@ struct SpeRegion {
 };
 
 /// Scans comment/string-stripped source text for SPE-kernel regions (any
-/// function or lambda taking `SpeContext&` / `Simd&` / `DmaEngine&`, or a
-/// template taking its type parameter `V&`).
+/// function or lambda taking `SpeContext&` / `Simd&` / `DmaEngine&`, a
+/// template taking its type parameter `V&`, or the body of a class that
+/// stores a `DmaEngine&` member).
 std::vector<SpeRegion> find_spe_regions(const std::string& stripped_text);
 
 /// Splits a top-level argument list (text after the `(` at `open_pos`) into
