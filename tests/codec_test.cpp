@@ -179,6 +179,30 @@ TEST(Codec, InvalidParamsAreRejected) {
 }
 
 
+TEST(Codec, DeepDecompositionsRoundTrip) {
+  // validate admits up to 32 levels, as the standard does.  Past log2 of
+  // the image size the transform stops but the bands keep their nominal
+  // levels, so the synthesis gains the quantizer and rate control read
+  // must be defined there too.
+  const Image img = synth::photographic(600, 500, 3, 7);
+  for (const int kind : {0, 1, 2}) {
+    for (const int levels : {8, 9, 12, 32}) {
+      SCOPED_TRACE(testing::Message() << "kind " << kind << ", " << levels
+                                      << " levels");
+      CodingParams p;
+      p.wavelet = kind == 0 ? WaveletKind::kReversible53
+                            : WaveletKind::kIrreversible97;
+      p.fixed_point_97 = kind == 2;
+      p.levels = levels;
+      p.rate = 0.1;
+      const auto bytes = encode(img, p);
+      EXPECT_LE(bytes.size(), img.raw_bytes() / 10);
+      EXPECT_GT(metrics::psnr(img, decode(bytes)), 30.0);
+    }
+  }
+}
+
+
 TEST(Codec, CodeBlockStyleFlagsRoundtripThroughTheStream) {
   const Image img = synth::photographic(96, 96, 3, 19);
   for (const bool reset : {false, true}) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cell/machine.hpp"
+#include "cellenc/pipeline.hpp"
 #include "cellenc/stage_dwt.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -24,6 +25,7 @@
 #include "jp2k/quant.hpp"
 #include "jp2k/t2_decoder.hpp"
 #include "jp2k/tile.hpp"
+#include "service/encode_service.hpp"
 
 namespace cj2k {
 namespace {
@@ -473,6 +475,40 @@ TEST(QcdGate, FixedPointNeedsSamplesOfAtMostEightBits) {
   EXPECT_NO_THROW(jp2k::validate(Image(16, 16, 3, 16), p));
   p.wavelet = jp2k::WaveletKind::kReversible53;
   EXPECT_NO_THROW(jp2k::validate(Image(16, 16, 3, 16), p));
+}
+
+TEST(QcdGate, OverLargeFixedPointStepIsRefusedUpFront) {
+  // At base step 65536 every band's dequantized range overflows the Q13
+  // inverse whatever the content, so validate refuses the parameters before
+  // any stage runs, in every encode entry point, tiled or not.
+  const auto img =
+      std::make_shared<const Image>(synth::photographic(96, 80, 3, 5));
+  jp2k::CodingParams p;
+  p.wavelet = jp2k::WaveletKind::kIrreversible97;
+  p.fixed_point_97 = true;
+  p.levels = 3;
+  p.base_quant_step = 65536;
+  for (const std::size_t tiles : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << tiles << "x" << tiles << " tiles");
+    p.tiles_x = p.tiles_y = tiles;
+    EXPECT_THROW(jp2k::validate(*img, p), InvalidArgument);
+    EXPECT_THROW(jp2k::encode(*img, p), InvalidArgument);
+    cell::MachineConfig mc;
+    mc.num_spes = 8;
+    cellenc::CellEncoder enc(mc);
+    EXPECT_THROW(enc.encode(*img, p), InvalidArgument);
+    service::ServiceOptions sopt;
+    sopt.machine.num_spes = 8;
+    service::EncodeService svc(sopt);
+    service::EncodeJob job;
+    job.image = img;
+    job.params = p;
+    svc.submit(std::move(job));
+    EXPECT_THROW(svc.run(), InvalidArgument);
+  }
+  // The same encode at a workable step goes through.
+  p.base_quant_step = 1.0 / 16;
+  EXPECT_NO_THROW(jp2k::encode(*img, p));
 }
 
 /// For an l-level 1-D 9/7 analysis, l = 1..levels: the largest sum of
