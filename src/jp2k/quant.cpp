@@ -39,13 +39,6 @@ void dequantize_row(const Sample* in, float* out, std::size_t n,
   }
 }
 
-void quantize(Span2d<const float> in, Span2d<Sample> out, double step) {
-  CJ2K_CHECK(in.width() == out.width() && in.height() == out.height());
-  for (std::size_t y = 0; y < in.height(); ++y) {
-    quantize_row(in.row(y), out.row(y), in.width(), step);
-  }
-}
-
 void quantize_fixed_row(const Sample* in_q13, Sample* out, std::size_t n,
                         double step) {
   // Reciprocal in Q16 against the Q13 input: q = v_q13 * inv >> 29.
