@@ -10,8 +10,8 @@
 // loops re-code those.  Before reporting, the bench asserts that the
 // re-encoded blocks are byte- and pass-identical to build_tile's and that
 // finishing the tile with them reproduces the serial jp2k::encode
-// codestream.  Like bench_native_wallclock, the figures are host wall
-// time, not simulated Cell seconds; they ride the BENCH_JSON "derived"
+// codestream.  The figures are host wall time, not simulated Cell
+// seconds; they ride the BENCH_JSON "derived"
 // registry (t1.* and ht.* keys) and sim_seconds is 0.
 #include <algorithm>
 #include <cstdio>

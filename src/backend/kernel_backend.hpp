@@ -11,12 +11,11 @@
 //
 // A stage entry point (stage_mct*, stage_dwt*, stage_quant*) reads its
 // BackendKind once and runs the matching instantiation; nothing dispatches
-// per row.  Byte identity between the two is structural — one kernel body —
+// per row.  The encoder always counts; kNative serves the kernel tests and
+// the repository benchmark's counted-against-uncounted layer.  Byte identity between the two is structural — one kernel body —
 // plus the lowering contract in native_simd.hpp; the golden vectors and the
 // serial jp2k encoder remain the oracle both are tested against.
 #pragma once
-
-#include <string_view>
 
 namespace cj2k::backend {
 
@@ -31,11 +30,6 @@ using KernelBackend = BackendKind;
 
 constexpr KernelBackend cell_model() { return BackendKind::kCellModel; }
 constexpr KernelBackend get(BackendKind kind) { return kind; }
-
-/// Stable short name ("cell" / "native") for CLI flags and bench labels.
-const char* to_string(BackendKind kind);
-/// Parses "cell" / "native"; returns false (out untouched) otherwise.
-bool parse(std::string_view name, BackendKind& out);
 
 /// Which instruction set HostVec was compiled against: "sse2", "neon", or
 /// "scalar".

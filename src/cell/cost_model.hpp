@@ -103,6 +103,8 @@ struct CostParams {
   double unaligned_dma_penalty = 2.0;  ///< Traffic multiplier when a
                                        ///< transfer misses the cache-line
                                        ///< efficient path.
+
+  bool operator==(const CostParams&) const = default;
 };
 
 /// Converts counters into seconds on each architecture.

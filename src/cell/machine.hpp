@@ -39,6 +39,8 @@ struct MachineConfig {
   int num_ppe_threads = 1;  ///< PPE hardware threads doing stage work.
   int chips = 1;            ///< QS20 blade = 2 (bandwidth scales).
   CostParams cost;          ///< Clock and per-op costs.
+
+  bool operator==(const MachineConfig&) const = default;
 };
 
 /// Where a stage's composed `seconds` went, pool-averaged so the

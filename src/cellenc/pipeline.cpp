@@ -27,9 +27,26 @@ double PipelineResult::stage_seconds(const std::string& name) const {
 }
 
 std::map<std::string, double> PipelineResult::wall_metrics() const {
-  std::map<std::string, double> wall{{"wall.seconds", wall_seconds}};
+  std::map<std::string, double> wall{
+      {"wall.seconds", wall_seconds},
+      {"wall.front_memo_hits", static_cast<double>(front_memo_hits)}};
   for (const auto& s : stages) wall["wall.stage." + s.name] = s.wall_seconds;
   return wall;
+}
+
+const std::vector<cell::StageTiming>* FrontMemo::find(
+    const FrontKey& key) const {
+  for (const auto& [k, stages] : entries_) {
+    if (k == key) return &stages;
+  }
+  return nullptr;
+}
+
+void FrontMemo::store(const FrontKey& key,
+                      std::vector<cell::StageTiming> stages) {
+  for (auto& s : stages) s.wall_seconds = 0;
+  if (entries_.size() == kCapacity) entries_.erase(entries_.begin());
+  entries_.emplace_back(key, std::move(stages));
 }
 
 namespace {
@@ -189,19 +206,18 @@ cell::StageTiming sum_components(const char* name, std::size_t ncomp,
   return t;
 }
 
-/// The lossy front on coefficients of type T (float, or Q13 Samples):
-/// level shift + ICT from the converted integer planes (the paper's merged
-/// kernel), the 9/7 DWT, then the tile skeleton and the quantization into
-/// `qplanes`.
+/// The counted lossy front on coefficients of type T (float, or Q13
+/// Samples): level shift + ICT from the converted integer planes (the
+/// paper's merged kernel), the 9/7 DWT, then the quantization back into
+/// `work`, which is dead after the colour stage.
 template <class T, class Push>
-void lossy_front(cell::Machine& machine, const std::vector<Plane>& work,
+void lossy_front(cell::Machine& machine, std::vector<Plane>& work,
                  const jp2k::CodingParams& params, const PipelineOptions& opt,
-                 bool color, unsigned depth, jp2k::Tile& tile,
-                 std::vector<Plane>& qplanes, Push&& push_stage) {
+                 bool color, unsigned depth, const jp2k::Tile& tile,
+                 Push&& push_stage) {
   const std::size_t w = work[0].width();
   const std::size_t h = work[0].height();
   const std::size_t ncomp = work.size();
-  const backend::BackendKind bk = opt.backend;
   constexpr bool kFloat = std::is_same_v<T, float>;
   using Store = std::conditional_t<kFloat, AlignedBuffer<float>, Plane>;
   const std::size_t stride = work[0].stride();
@@ -217,33 +233,70 @@ void lossy_front(cell::Machine& machine, const std::vector<Plane>& work,
   }
 
   if constexpr (kFloat) {
-    push_stage(stage_mct_lossy(machine, work, coeffs, stride, color, depth,
-                               bk));
+    push_stage(stage_mct_lossy(machine, work, coeffs, stride, color, depth));
   } else {
-    push_stage(
-        stage_mct_lossy_fixed(machine, work, coeffs, color, depth, bk));
+    push_stage(stage_mct_lossy_fixed(machine, work, coeffs, color, depth));
   }
   push_stage(sum_components("dwt", ncomp, [&](std::size_t c) {
     if constexpr (kFloat) {
-      return stage_dwt97(machine, views[c], params.levels, opt.dwt, bk);
+      return stage_dwt97(machine, views[c], params.levels, opt.dwt);
     } else {
-      return stage_dwt97_fixed(machine, views[c], params.levels, opt.dwt,
-                               bk);
+      return stage_dwt97_fixed(machine, views[c], params.levels, opt.dwt);
     }
   }));
-  qplanes.reserve(ncomp);
   push_stage(sum_components("quant", ncomp, [&](std::size_t c) {
-    tile.components.push_back(jp2k::make_component_skeleton(w, h, params));
-    qplanes.emplace_back(w, h);
     const Span2d<const T> in = views[c];
     if constexpr (kFloat) {
-      return stage_quant(machine, in, qplanes[c].view(), tile.components[c],
-                         bk);
+      return stage_quant(machine, in, work[c].view(), tile.components[c]);
     } else {
-      return stage_quant_fixed(machine, in, qplanes[c].view(),
-                               tile.components[c], bk);
+      return stage_quant_fixed(machine, in, work[c].view(),
+                               tile.components[c]);
     }
   }));
+}
+
+/// The counted front through the cell::Simd stage kernels: read, level
+/// shift + MCT, DWT and (lossy) quant, each pushed as it finishes.
+/// Returns the planes Tier-1 codes.
+template <class Push>
+std::vector<Plane> counted_front(cell::Machine& machine, const Image& img,
+                                 const jp2k::CodingParams& params,
+                                 const PipelineOptions& opt,
+                                 const jp2k::Tile& tile, Push&& push_stage) {
+  const bool color = params.mct && img.components() >= 3;
+  const unsigned depth = img.bit_depth();
+  std::vector<Plane> work;
+  push_stage(stage_read(machine, img, work));
+  if (params.wavelet == jp2k::WaveletKind::kReversible53) {
+    push_stage(stage_mct_lossless(machine, work, color, depth));
+    push_stage(sum_components("dwt", work.size(), [&](std::size_t c) {
+      return stage_dwt53(machine, work[c].view(), params.levels, opt.dwt);
+    }));
+  } else if (params.fixed_point_97) {
+    // The fixed-point front is the paper's §4 "before" configuration.
+    lossy_front<Sample>(machine, work, params, opt, color, depth, tile,
+                        push_stage);
+  } else {
+    lossy_front<float>(machine, work, params, opt, color, depth, tile,
+                       push_stage);
+  }
+  return work;
+}
+
+FrontKey front_key(const cell::Machine& machine, const Image& img,
+                   const jp2k::CodingParams& params, const DwtOptions& dwt) {
+  return {machine.config(),
+          img.width(),
+          img.height(),
+          img.plane(0).stride(),
+          img.components(),
+          img.bit_depth(),
+          params.mct && img.components() >= 3,
+          params.wavelet,
+          params.fixed_point_97,
+          params.levels,
+          jp2k::effective_base_quant_step(params),
+          dwt};
 }
 
 }  // namespace
@@ -251,24 +304,10 @@ void lossy_front(cell::Machine& machine, const std::vector<Plane>& work,
 TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
                                   const jp2k::CodingParams& params,
                                   const PipelineOptions& opt,
-                                  HullCapture* hulls) {
-  const backend::BackendKind bk = opt.backend;
+                                  HullCapture* hulls, FrontMemo* memo) {
   TileFrontResult res;
-  const std::size_t w = img.width();
-  const std::size_t h = img.height();
-  const std::size_t ncomp = img.components();
-  const bool color = params.mct && ncomp >= 3;
-  const unsigned depth = img.bit_depth();
-
-  jp2k::Tile& tile = res.tile;
-  tile.width = w;
-  tile.height = h;
-  tile.levels = params.levels;
-  tile.layers = params.layers;
-  tile.progression = static_cast<int>(params.progression);
-
-  // Every stage is pushed through here, stamped with the host time since
-  // the previous one (the stage call plus its tile-skeleton bookkeeping).
+  // Each stage that runs here is pushed through push_stage, stamped with
+  // the host time since the previous one.
   Timer lap;
   auto push_stage = [&](cell::StageTiming t) {
     t.wall_seconds = lap.seconds();
@@ -276,41 +315,46 @@ TileFrontResult encode_tile_front(cell::Machine& machine, const Image& img,
     res.stages.push_back(std::move(t));
   };
 
-  // --- Read / convert -------------------------------------------------------
-  std::vector<Plane> work;
-  push_stage(stage_read(machine, img, work));
+  // The audit ledger and the trace record the counted stages' DMA and
+  // spans, so those runs always count.
+  if (opt.audit.enabled || machine.trace() != nullptr) memo = nullptr;
+  const FrontKey key =
+      memo ? front_key(machine, img, params, opt.dwt) : FrontKey{};
+  const std::vector<cell::StageTiming>* hit = memo ? memo->find(key) : nullptr;
 
-  std::vector<Span2d<const Sample>> coeff_views;
-  std::vector<Plane> qplanes;
-  if (params.wavelet == jp2k::WaveletKind::kReversible53) {
-    // --- Level shift + RCT, DWT, tile skeleton ------------------------------
-    push_stage(stage_mct_lossless(machine, work, color, depth, bk));
-    push_stage(sum_components("dwt", ncomp, [&](std::size_t c) {
-      return stage_dwt53(machine, work[c].view(), params.levels, opt.dwt,
-                         bk);
-    }));
-    for (std::size_t c = 0; c < ncomp; ++c) {
-      tile.components.push_back(
-          jp2k::make_component_skeleton(w, h, params));
-      coeff_views.push_back(work[c].view());
+  std::vector<Plane> coeffs;
+  if (hit) {
+    // --- The memoized front: host code on main memory, charged the stored
+    // timings.  The read and the colour transform are one pass, timed with
+    // the plane allocations as the colour stage; read keeps the rest (the
+    // tile skeleton).
+    jp2k::EncodeStats st;
+    jp2k::TileFront f = jp2k::build_front(img, params, &st);
+    res.tile = std::move(f.tile);
+    coeffs = std::move(f.coeffs);
+    const double walls[] = {
+        lap.seconds() - st.mct_seconds - st.dwt_seconds - st.quant_seconds,
+        st.mct_seconds, st.dwt_seconds, st.quant_seconds};
+    for (std::size_t i = 0; i < hit->size(); ++i) {
+      res.stages.push_back((*hit)[i]);
+      res.stages.back().wall_seconds = walls[i];
     }
+    res.from_memo = true;
+    lap.reset();
   } else {
-    // The fixed-point front is the paper's §4 "before" configuration.
-    if (params.fixed_point_97) {
-      lossy_front<Sample>(machine, work, params, opt, color, depth, tile,
-                          qplanes, push_stage);
-    } else {
-      lossy_front<float>(machine, work, params, opt, color, depth, tile,
-                         qplanes, push_stage);
-    }
-    for (const Plane& q : qplanes) coeff_views.push_back(q.view());
+    res.tile = jp2k::make_tile_skeleton(img.width(), img.height(),
+                                        img.components(), params);
+    coeffs = counted_front(machine, img, params, opt, res.tile, push_stage);
+    if (memo) memo->store(key, res.stages);
   }
 
   // --- Tier-1 over the work queue; with hull capture the same workers also
   // build each block's R-D hull as it finishes (the hull cost hides under
   // the T1 span — the fused schedule accounts for it). -----------------------
+  std::vector<Span2d<const Sample>> coeff_views;
+  for (const Plane& p : coeffs) coeff_views.push_back(p.view());
   const T1StageResult t1 =
-      stage_t1(machine, tile, coeff_views, opt.t1_dist, params.t1, hulls,
+      stage_t1(machine, res.tile, coeff_views, opt.t1_dist, params.t1, hulls,
                params.block_coder);
   push_stage(t1.timing);
   res.t1_symbols = t1.total_symbols;
@@ -327,7 +371,8 @@ PipelineResult CellEncoder::encode(const Image& img,
   const jp2k::TileGrid grid = jp2k::TileGrid::plan(
       img.width(), img.height(), params.tiles_x, params.tiles_y);
   if (grid.num_tiles() > 1) {
-    PipelineResult res = encode_tiled(machine_, img, params, opt, grid);
+    PipelineResult res =
+        encode_tiled(machine_, img, params, opt, grid, &memo_);
     res.wall_seconds = wall.seconds();
     fill_metrics(res);
     return res;
@@ -345,9 +390,11 @@ PipelineResult CellEncoder::encode(const Image& img,
   HullCapture hulls;
   hulls.wavelet = params.wavelet;
 
-  TileFrontResult front = encode_tile_front(
-      machine_, img, params, opt, distribute_tail ? &hulls : nullptr);
+  TileFrontResult front =
+      encode_tile_front(machine_, img, params, opt,
+                        distribute_tail ? &hulls : nullptr, &memo_);
   jp2k::Tile& tile = front.tile;
+  res.front_memo_hits = front.from_memo ? 1 : 0;
   res.stages = std::move(front.stages);
   const std::size_t front_count = res.stages.size();
   res.t1_symbols = front.t1_symbols;

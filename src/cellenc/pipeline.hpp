@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cell/machine.hpp"
@@ -38,13 +39,6 @@ struct PipelineOptions {
   /// encode (AuditError) on the first inefficient transfer or LS
   /// over-budget allocation.
   cell::AuditConfig audit;
-  /// Vector policy the stage kernels are instantiated on (DESIGN.md §13):
-  /// the counting cell::Simd (timing truth, the default) or the uncounted
-  /// host HostVec (wall-clock truth).  The codestream is byte-identical
-  /// either way; under the native backend no SPE ops are charged, so
-  /// simulated seconds collapse — read wall_seconds / "wall.seconds".
-  cj2k::backend::BackendKind backend =
-      cj2k::backend::BackendKind::kCellModel;
   /// Event-level tracing (DESIGN.md §11): when enabled, the run records
   /// spans/instants/DMA flows into PipelineResult::trace for Chrome-JSON
   /// export.  Off (the default) records nothing and costs nothing; the
@@ -65,6 +59,10 @@ struct PipelineResult {
   int spes_per_group = 0;
   std::uint64_t t1_symbols = 0;
   std::uint64_t dma_bytes = 0;
+  /// Tile fronts whose read … quant timings came from the encoder's
+  /// FrontMemo (their stages ran as host code on main memory); the rest
+  /// ran the counted stages.  Host-side, like wall_seconds.
+  std::size_t front_memo_hits = 0;
 
   /// Distributed-tail accounting (zero on lossless / serial-tail runs):
   /// hull work absorbed into T1 (span growth vs. its serial-PPE cost)…
@@ -87,9 +85,10 @@ struct PipelineResult {
   /// Simulated seconds of the named stage (0 when absent).
   double stage_seconds(const std::string& name) const;
 
-  /// The host-clock view next to wall_seconds: "wall.seconds" plus one
-  /// "wall.stage.<name>" per stage (StageTiming::wall_seconds).  Kept out
-  /// of `metrics` and the trace export, which stay deterministic.
+  /// The host-clock view next to wall_seconds: "wall.seconds", one
+  /// "wall.stage.<name>" per stage (StageTiming::wall_seconds) and
+  /// "wall.front_memo_hits".  Kept out of `metrics` and the trace export,
+  /// which stay deterministic.
   std::map<std::string, double> wall_metrics() const;
 
   /// Invariant-audit ledger (enabled == false unless the run asked for it).
@@ -114,6 +113,42 @@ struct PipelineResult {
   decomp::PipelinePhase tail_phase;
 };
 
+/// Everything the read, level shift + MCT, DWT and quant stages of a tile
+/// front read (DESIGN.md §13).  Their simulated timings depend on nothing
+/// else — cache-line rows, constant trip counts and a constant Local Store
+/// footprint make them independent of the pixel values.
+struct FrontKey {
+  cell::MachineConfig machine;
+  std::size_t width = 0;
+  std::size_t height = 0;
+  std::size_t stride = 0;
+  std::size_t components = 0;
+  unsigned depth = 0;
+  bool color = false;
+  jp2k::WaveletKind wavelet = jp2k::WaveletKind::kReversible53;
+  bool fixed_point_97 = false;
+  int levels = 0;
+  double base_step = 0;
+  DwtOptions dwt;
+
+  bool operator==(const FrontKey&) const = default;
+};
+
+/// A few keyed front timings (read … quant, wall seconds cleared).  On a
+/// hit encode_tile_front runs the front as host code on main memory and
+/// charges these; see DESIGN.md §13.
+class FrontMemo {
+ public:
+  /// The timings stored under `key`, or null.
+  const std::vector<cell::StageTiming>* find(const FrontKey& key) const;
+  /// Stores `stages` under `key`, evicting the oldest entry when full.
+  void store(const FrontKey& key, std::vector<cell::StageTiming> stages);
+
+ private:
+  static constexpr std::size_t kCapacity = 16;
+  std::vector<std::pair<FrontKey, std::vector<cell::StageTiming>>> entries_;
+};
+
 class CellEncoder {
  public:
   explicit CellEncoder(const cell::MachineConfig& mc) : machine_(mc) {}
@@ -134,6 +169,7 @@ class CellEncoder {
 
  private:
   cell::Machine machine_;
+  FrontMemo memo_;
 };
 
 /// Result of the data-parallel "front" of one tile's pipeline: read /
@@ -147,6 +183,7 @@ struct TileFrontResult {
   std::uint64_t t1_symbols = 0;
   double hull_extra_seconds = 0;
   double hull_serial_seconds = 0;
+  bool from_memo = false;  ///< read … quant charged from the FrontMemo.
 };
 
 /// Runs the front of the pipeline for one (tile-sized) image on the given
@@ -154,9 +191,13 @@ struct TileFrontResult {
 /// group machine; CellEncoder::encode uses it directly for a single tile.
 /// `hulls`, when non-null, captures per-worker R-D hull segment lists
 /// during Tier-1 (set its ordinal_base before the call on multi-tile runs).
+/// With a `memo`, a front whose FrontKey it holds runs jp2k::build_front
+/// and is charged the stored timings, and any other front runs the counted
+/// stages and stores theirs; audited or traced runs always count.
 TileFrontResult encode_tile_front(cell::Machine& m, const Image& img,
                                   const jp2k::CodingParams& params,
                                   const PipelineOptions& opt,
-                                  HullCapture* hulls);
+                                  HullCapture* hulls,
+                                  FrontMemo* memo = nullptr);
 
 }  // namespace cj2k::cellenc

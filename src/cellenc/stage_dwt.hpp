@@ -22,6 +22,8 @@ struct DwtOptions {
   bool merged_vertical = true;   ///< false = naive multipass (ablation A).
   std::size_t colgroup_elems = 0;  ///< 0 = auto (width/SPEs); else fixed
                                    ///< column-group width (ablation C).
+
+  bool operator==(const DwtOptions&) const = default;
 };
 
 /// In-place multilevel 5/3; returns the summed stage timing across levels.

@@ -42,7 +42,7 @@ decomp::PipelinePhase to_phase(const cell::StageTiming& s, int group_spes) {
 PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
                             const jp2k::CodingParams& params,
                             const PipelineOptions& opt,
-                            const jp2k::TileGrid& grid) {
+                            const jp2k::TileGrid& grid, FrontMemo* memo) {
   const std::size_t ntiles = grid.num_tiles();
   const cell::MachineConfig& cfg = machine.config();
   const auto& cp = machine.model().params();
@@ -106,8 +106,9 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     hulls[k].wavelet = params.wavelet;
     hulls[k].ordinal_base = ordinal_base;
     fronts[k] = encode_tile_front(gmachine, timg, params, opt,
-                                  distribute_tail ? &hulls[k] : nullptr);
+                                  distribute_tail ? &hulls[k] : nullptr, memo);
     ordinal_base += jp2k::tile_block_count(fronts[k].tile);
+    res.front_memo_hits += fronts[k].from_memo ? 1 : 0;
     res.t1_symbols += fronts[k].t1_symbols;
     res.hull_extra_seconds += fronts[k].hull_extra_seconds;
     res.hull_serial_seconds += fronts[k].hull_serial_seconds;

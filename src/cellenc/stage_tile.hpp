@@ -19,10 +19,12 @@ namespace cj2k::cellenc {
 
 /// Runs the full multi-tile pipeline on the simulated machine.  `machine`
 /// is the whole-pool machine; group machines are derived from its config.
-/// Called by CellEncoder::encode when the grid has more than one tile.
+/// Called by CellEncoder::encode when the grid has more than one tile;
+/// every tile front consults `memo` (see encode_tile_front).
 PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
                             const jp2k::CodingParams& params,
                             const PipelineOptions& opt,
-                            const jp2k::TileGrid& grid);
+                            const jp2k::TileGrid& grid,
+                            FrontMemo* memo = nullptr);
 
 }  // namespace cj2k::cellenc

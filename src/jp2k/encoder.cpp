@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "decomp/host_pool.hpp"
 #include "jp2k/dwt2d.hpp"
 #include "jp2k/ht_block.hpp"
 #include "jp2k/mct.hpp"
@@ -168,79 +169,138 @@ void t1_over_band(Subband& sb, Span2d<const Sample> coeff_plane,
   sb.band_numbps = band_numbps;
 }
 
-/// The lossy front of build_tile on coefficients of type T (float, or Q13
-/// Samples): level shift + ICT, the 9/7 DWT, then per component the
-/// quantization into one integer plane and Tier-1.
+/// Rows per band of the front's row phases.
+constexpr std::size_t kBandRows = 32;
+
+/// Runs fn(y0, y1) over the bands of kBandRows rows of an h-row plane set
+/// on the host pool.
+template <class Fn>
+void for_each_band(std::size_t h, const Fn& fn) {
+  decomp::parallel_for((h + kBandRows - 1) / kBandRows,
+                       [&](std::size_t b, std::size_t) {
+                         const std::size_t y0 = b * kBandRows;
+                         fn(y0, std::min(h, y0 + kBandRows));
+                       });
+}
+
+/// The 5/3 front: the image copied into working planes with the level
+/// shift (+ RCT) merged in, then the DWT.
+std::vector<Plane> reversible_front(const Image& img, const CodingParams& p,
+                                    bool color, EncodeStats* stats) {
+  const std::size_t w = img.width();
+  const std::size_t ncomp = img.components();
+  const unsigned depth = img.bit_depth();
+  Timer stage;
+  std::vector<Plane> work;
+  work.reserve(ncomp);
+  for (std::size_t c = 0; c < ncomp; ++c) work.emplace_back(w, img.height());
+  for_each_band(img.height(), [&](std::size_t y0, std::size_t y1) {
+    for (std::size_t y = y0; y < y1; ++y) {
+      for (std::size_t c = 0; c < ncomp; ++c) {
+        std::copy_n(img.plane(c).row(y), w, work[c].row(y));
+      }
+      std::size_t c = 0;
+      if (color) {
+        shift_rct_forward_row(work[0].row(y), work[1].row(y), work[2].row(y),
+                              w, depth);
+        c = 3;
+      }
+      for (; c < ncomp; ++c) level_shift_row(work[c].row(y), w, depth);
+    }
+  });
+  if (stats) stats->mct_seconds = stage.seconds();
+
+  stage.reset();
+  std::vector<Span2d<Sample>> planes;
+  for (auto& pl : work) planes.push_back(pl.view());
+  forward53(planes, p.levels);
+  if (stats) stats->dwt_seconds = stage.seconds();
+  return work;
+}
+
+/// The 9/7 front on coefficients of type T (float, or Q13 Samples): level
+/// shift + ICT straight from the image rows, the DWT, then the
+/// quantization into integer planes.  Q13 planes are quantized in place;
+/// float ones one component at a time into a new plane, each float plane
+/// freed once quantized, so the front peaks at one plane above the float
+/// set.
 template <class T>
-void lossy_tile(const Image& img, const CodingParams& params, bool color,
-                Tile& tile, EncodeStats* stats) {
+std::vector<Plane> irreversible_front(const Image& img, const CodingParams& p,
+                                      bool color, const Tile& tile,
+                                      EncodeStats* stats) {
   constexpr bool kFloat = std::is_same_v<T, float>;
   const std::size_t w = img.width();
   const std::size_t h = img.height();
   const std::size_t ncomp = img.components();
   const unsigned depth = img.bit_depth();
-  const std::size_t stride = img.plane(0).stride();
-  std::vector<std::vector<T>> coeffs(ncomp, std::vector<T>(stride * h));
-  std::vector<Span2d<T>> planes;
-  for (auto& c : coeffs) planes.emplace_back(c.data(), w, h, stride);
-
   Timer stage;
-  for (std::size_t y = 0; y < h; ++y) {
-    const auto in = [&](std::size_t c) { return img.plane(c).row(y); };
-    std::size_t c = 0;
-    if (color) {
-      if constexpr (kFloat) {
-        shift_ict_forward_row(in(0), in(1), in(2), planes[0].row(y),
-                              planes[1].row(y), planes[2].row(y), w, depth);
-      } else {
-        shift_ict_forward_row_fixed(in(0), in(1), in(2), planes[0].row(y),
-                                    planes[1].row(y), planes[2].row(y), w,
-                                    depth);
-      }
-      c = 3;
-    }
-    for (; c < ncomp; ++c) {
-      if constexpr (kFloat) {
-        shift_to_float_row(in(c), planes[c].row(y), w, depth);
-      } else {
-        shift_to_fixed_row(in(c), planes[c].row(y), w, depth);
-      }
+  std::vector<Plane> q;
+  std::vector<AlignedBuffer<float>> fbuf;
+  std::vector<Span2d<T>> planes;
+  q.reserve(ncomp);
+  for (std::size_t c = 0; c < ncomp; ++c) {
+    if constexpr (kFloat) {
+      const std::size_t stride = img.plane(c).stride();
+      planes.emplace_back(fbuf.emplace_back(stride * h).data(), w, h, stride);
+    } else {
+      planes.push_back(q.emplace_back(w, h).view());
     }
   }
+  for_each_band(h, [&](std::size_t y0, std::size_t y1) {
+    for (std::size_t y = y0; y < y1; ++y) {
+      const auto in = [&](std::size_t c) { return img.plane(c).row(y); };
+      std::size_t c = 0;
+      if (color) {
+        if constexpr (kFloat) {
+          shift_ict_forward_row(in(0), in(1), in(2), planes[0].row(y),
+                                planes[1].row(y), planes[2].row(y), w, depth);
+        } else {
+          shift_ict_forward_row_fixed(in(0), in(1), in(2), planes[0].row(y),
+                                      planes[1].row(y), planes[2].row(y), w,
+                                      depth);
+        }
+        c = 3;
+      }
+      for (; c < ncomp; ++c) {
+        if constexpr (kFloat) {
+          shift_to_float_row(in(c), planes[c].row(y), w, depth);
+        } else {
+          shift_to_fixed_row(in(c), planes[c].row(y), w, depth);
+        }
+      }
+    }
+  });
   if (stats) stats->mct_seconds = stage.seconds();
 
   stage.reset();
   if constexpr (kFloat) {
-    forward97(planes, params.levels);
+    forward97(planes, p.levels);
   } else {
-    forward97_fixed(planes, params.levels);
+    forward97_fixed(planes, p.levels);
   }
   if (stats) stats->dwt_seconds = stage.seconds();
 
-  Plane qplane(w, h);
+  stage.reset();
   for (std::size_t c = 0; c < ncomp; ++c) {
-    TileComponent tc = make_component_skeleton(w, h, params);
-    stage.reset();
-    for (auto& sb : tc.subbands) {
-      for (std::size_t y = sb.info.y0; y < sb.info.y0 + sb.info.h; ++y) {
-        const T* in = planes[c].row(y) + sb.info.x0;
-        Sample* out = qplane.row(y) + sb.info.x0;
-        if constexpr (kFloat) {
-          quantize_row(in, out, sb.info.w, sb.quant_step);
-        } else {
-          quantize_fixed_row(in, out, sb.info.w, sb.quant_step);
+    if constexpr (kFloat) q.emplace_back(w, h);
+    for_each_band(h, [&](std::size_t y0, std::size_t y1) {
+      for (const Subband& sb : tile.components[c].subbands) {
+        const std::size_t end = std::min(y1, sb.info.y0 + sb.info.h);
+        for (std::size_t y = std::max(y0, sb.info.y0); y < end; ++y) {
+          const T* in = planes[c].row(y) + sb.info.x0;
+          Sample* out = q[c].row(y) + sb.info.x0;
+          if constexpr (kFloat) {
+            quantize_row(in, out, sb.info.w, sb.quant_step);
+          } else {
+            quantize_fixed_row(in, out, sb.info.w, sb.quant_step);
+          }
         }
       }
-    }
-    if (stats) stats->quant_seconds += stage.seconds();
-
-    stage.reset();
-    for (auto& sb : tc.subbands) {
-      t1_over_band(sb, qplane.view(), params, stats);
-    }
-    if (stats) stats->t1_seconds += stage.seconds();
-    tile.components.push_back(std::move(tc));
+    });
+    if constexpr (kFloat) fbuf[c] = {};
   }
+  if (stats) stats->quant_seconds = stage.seconds();
+  return q;
 }
 
 }  // namespace
@@ -262,76 +322,49 @@ TileComponent make_component_skeleton(std::size_t w, std::size_t h,
   return tc;
 }
 
-Tile build_tile(const Image& img, const CodingParams& params,
-                EncodeStats* stats) {
-  validate(img, params);
-  Timer stage;
-
-  const std::size_t w = img.width();
-  const std::size_t h = img.height();
-  const std::size_t ncomp = img.components();
-  const bool color = params.mct && ncomp >= 3;
-  const unsigned depth = img.bit_depth();
-
+Tile make_tile_skeleton(std::size_t w, std::size_t h, std::size_t ncomp,
+                        const CodingParams& p) {
   Tile tile;
   tile.width = w;
   tile.height = h;
-  tile.levels = params.levels;
-  tile.layers = params.layers;
-  tile.progression = static_cast<int>(params.progression);
+  tile.levels = p.levels;
+  tile.layers = p.layers;
+  tile.progression = static_cast<int>(p.progression);
+  tile.components.assign(ncomp, make_component_skeleton(w, h, p));
+  return tile;
+}
 
-  if (stats) stats->samples = img.total_samples();
-
+TileFront build_front(const Image& img, const CodingParams& params,
+                      EncodeStats* stats) {
+  const bool color = params.mct && img.components() >= 3;
+  TileFront f;
+  f.tile = make_tile_skeleton(img.width(), img.height(), img.components(),
+                              params);
   if (params.wavelet == WaveletKind::kReversible53) {
-    // Working copies of the planes (padded like the originals).
-    std::vector<Plane> work;
-    work.reserve(ncomp);
-    for (std::size_t c = 0; c < ncomp; ++c) {
-      Plane pl(w, h);
-      for (std::size_t y = 0; y < h; ++y) {
-        std::copy_n(img.plane(c).row(y), w, pl.row(y));
-      }
-      work.push_back(std::move(pl));
-    }
-
-    // Level shift + RCT (merged, as in the paper).
-    stage.reset();
-    for (std::size_t y = 0; y < h; ++y) {
-      std::size_t c = 0;
-      if (color) {
-        shift_rct_forward_row(work[0].row(y), work[1].row(y), work[2].row(y),
-                              w, depth);
-        c = 3;
-      }
-      for (; c < ncomp; ++c) level_shift_row(work[c].row(y), w, depth);
-    }
-    if (stats) stats->mct_seconds = stage.seconds();
-
-    // DWT.
-    stage.reset();
-    std::vector<Span2d<Sample>> planes;
-    for (auto& pl : work) planes.push_back(pl.view());
-    forward53(planes, params.levels);
-    if (stats) stats->dwt_seconds = stage.seconds();
-
-    // Tier-1.
-    stage.reset();
-    for (std::size_t c = 0; c < ncomp; ++c) {
-      TileComponent tc = make_component_skeleton(w, h, params);
-      for (auto& sb : tc.subbands) {
-        t1_over_band(sb, work[c].view(), params, stats);
-      }
-      tile.components.push_back(std::move(tc));
-    }
-    if (stats) stats->t1_seconds = stage.seconds();
+    f.coeffs = reversible_front(img, params, color, stats);
   } else if (params.fixed_point_97) {
     // Q13 fixed point: Jasper's original arithmetic, kept for the paper's
     // §4 fixed-vs-float experiment.
-    lossy_tile<Sample>(img, params, color, tile, stats);
+    f.coeffs = irreversible_front<Sample>(img, params, color, f.tile, stats);
   } else {
-    lossy_tile<float>(img, params, color, tile, stats);
+    f.coeffs = irreversible_front<float>(img, params, color, f.tile, stats);
   }
-  return tile;
+  return f;
+}
+
+Tile build_tile(const Image& img, const CodingParams& params,
+                EncodeStats* stats) {
+  validate(img, params);
+  if (stats) stats->samples = img.total_samples();
+  TileFront f = build_front(img, params, stats);
+  Timer stage;
+  for (std::size_t c = 0; c < f.coeffs.size(); ++c) {
+    for (auto& sb : f.tile.components[c].subbands) {
+      t1_over_band(sb, f.coeffs[c].view(), params, stats);
+    }
+  }
+  if (stats) stats->t1_seconds = stage.seconds();
+  return std::move(f.tile);
 }
 
 std::vector<std::size_t> plan_layer_budgets(const Tile& tile,

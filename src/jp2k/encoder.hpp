@@ -48,6 +48,27 @@ Tile build_tile(const Image& img, const CodingParams& params,
 TileComponent make_component_skeleton(std::size_t w, std::size_t h,
                                       const CodingParams& params);
 
+/// The skeleton of a w×h tile of `ncomp` components: its geometry and
+/// coding fields and one make_component_skeleton per component.
+Tile make_tile_skeleton(std::size_t w, std::size_t h, std::size_t ncomp,
+                        const CodingParams& params);
+
+/// What a tile's front leaves for Tier-1: the tile skeleton and, per
+/// component, the plane Tier-1 codes (5/3 coefficients, or quantization
+/// indices on the 9/7 paths).
+struct TileFront {
+  Tile tile;
+  std::vector<Plane> coeffs;
+};
+
+/// The front of a one-tile encode on the host pool: level shift + colour
+/// transform straight from `img` and quantization in bands of rows, and
+/// jp2k::forward* on every plane.  Fills the mct/dwt/quant seconds of
+/// `stats`.  build_tile and a Cell encode's memo hit (DESIGN.md §13) both
+/// run it, so they code the same coefficients by construction.
+TileFront build_front(const Image& img, const CodingParams& params,
+                      EncodeStats* stats = nullptr);
+
 /// Finishes a Tile into a codestream (rate control + T2 + framing);
 /// `img` supplies geometry/raw-size for the rate budget.
 std::vector<std::uint8_t> finish_tile(Tile& tile, const Image& img,

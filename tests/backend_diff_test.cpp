@@ -1,123 +1,37 @@
-// Cross-backend differential harness (DESIGN.md §13): the native host-SIMD
-// kernel backend must produce byte-identical codestreams to the
-// instrumented Cell-model backend on every draw of a randomized sweep over
-// dirty geometries × wavelets × block coders × layer/progression/rate
+// Memo differential harness (DESIGN.md §13): a CellEncoder's second encode
+// of a draw charges its front from the FrontMemo and runs that front as
+// host code on main memory; it must give byte-identical codestreams to the
+// first, counted encode on every draw of a randomized sweep over dirty
+// geometries × wavelets × block coders × layer/progression/rate
 // combinations × tile grids × SPE counts × column-group overrides.
 //
 // The sweep is sharded into independent gtest cases (each with its own
 // deterministically derived seed) so ctest runs the shards in parallel and
-// a failure pinpoints its shard.  8 shards × 25 draws = 200 draws per run,
-// the CI floor.  Every draw encodes once per backend and compares bytes;
-// every fifth draw also pins both against the serial jp2k::encode
-// reference, so a *pair* of backends drifting together still fails.
+// a failure pinpoints its shard.  8 shards × 25 draws = 200 draws per run.
+// Every fifth draw also pins both against the serial jp2k::encode
+// reference, so the two paths drifting together still fails.
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "backend/kernel_backend.hpp"
 #include "cellenc/pipeline.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
+#include "encode_draw.hpp"
 #include "image/synth.hpp"
 #include "jp2k/encoder.hpp"
 
 namespace cj2k {
 namespace {
 
+using test::config;
+using test::Draw;
+using test::make_draw;
+
 constexpr int kShards = 8;
 constexpr int kDrawsPerShard = 25;
 
-cell::MachineConfig config(int spes, int ppes) {
-  cell::MachineConfig cfg;
-  cfg.num_spes = spes;
-  cfg.num_ppe_threads = ppes;
-  return cfg;
-}
-
-struct Draw {
-  jp2k::CodingParams params;
-  cellenc::PipelineOptions opt;  ///< Backend field overwritten per encode.
-  std::size_t width = 0;
-  std::size_t height = 0;
-  std::uint64_t image_seed = 0;
-  int spes = 0;
-  int ppes = 0;
-
-  std::string describe() const {
-    std::string s = std::to_string(width) + "x" + std::to_string(height) +
-                    " seed=" + std::to_string(image_seed) +
-                    " spes=" + std::to_string(spes) +
-                    " ppes=" + std::to_string(ppes) +
-                    " layers=" + std::to_string(params.layers) +
-                    " rate=" + std::to_string(params.rate) + " tiles=" +
-                    std::to_string(params.tiles_x) + "x" +
-                    std::to_string(params.tiles_y);
-    s += params.block_coder == jp2k::BlockCoder::kHt ? " ht" : " ebcot";
-    if (params.wavelet == jp2k::WaveletKind::kReversible53) {
-      s += " 5/3";
-    } else {
-      s += params.fixed_point_97 ? " 9/7fx" : " 9/7";
-    }
-    s += " colgroup=" + std::to_string(opt.dwt.colgroup_elems);
-    if (!opt.dwt.merged_vertical) s += " multipass";
-    return s;
-  }
-};
-
-/// One random point of the sweep.  Axes mirror the parallel_rate sweep plus
-/// the DWT options that change which kernels run (column-group override,
-/// multipass vertical schedule).
-Draw make_draw(Rng& rng, std::uint64_t image_seed) {
-  Draw d;
-  jp2k::CodingParams& p = d.params;
-  switch (rng.next_below(3)) {
-    case 0:
-      p.wavelet = jp2k::WaveletKind::kReversible53;
-      break;
-    case 1:
-      p.wavelet = jp2k::WaveletKind::kIrreversible97;
-      break;
-    default:
-      p.wavelet = jp2k::WaveletKind::kIrreversible97;
-      p.fixed_point_97 = true;
-      break;
-  }
-  p.levels = 3;
-  if (p.wavelet == jp2k::WaveletKind::kIrreversible97) {
-    p.layers = 1 + static_cast<int>(rng.next_below(3));
-    p.progression = rng.next_below(2) == 0 ? jp2k::Progression::kLRCP
-                                           : jp2k::Progression::kRLCP;
-    p.rate = (p.layers > 1 && rng.next_below(3) == 0)
-                 ? 0.0
-                 : 0.08 + 0.05 * static_cast<double>(rng.next_below(6));
-  }
-  p.tiles_x = 1 + rng.next_below(2);
-  p.tiles_y = 1 + rng.next_below(2);
-  if (rng.next_below(3) == 0) {
-    p.block_coder = jp2k::BlockCoder::kHt;
-    p.layers = 1;
-    if (p.wavelet == jp2k::WaveletKind::kIrreversible97 && p.rate == 0.0) {
-      p.rate = 0.1;
-    }
-  }
-  // Dirty geometries: odd, non-line-multiple, non-vector-multiple sizes.
-  d.width = 48 + rng.next_below(83);
-  d.height = 40 + rng.next_below(67);
-  d.image_seed = image_seed;
-  const int spe_choices[] = {1, 3, 8, 16};
-  d.spes = spe_choices[rng.next_below(4)];
-  d.ppes = 1 + static_cast<int>(rng.next_below(2));
-  // DWT kernel axes: the unpaddable fixed column-group width (24 floats =
-  // 96 bytes, never a 128-byte multiple) and the multipass vertical
-  // schedule, each on a third of the draws.
-  if (rng.next_below(3) == 0) d.opt.dwt.colgroup_elems = 24;
-  if (rng.next_below(3) == 0) d.opt.dwt.merged_vertical = false;
-  return d;
-}
-
 class BackendDiff : public ::testing::TestWithParam<int> {};
 
-TEST_P(BackendDiff, NativeMatchesCellModelByteForByte) {
+TEST_P(BackendDiff, MemoHitMatchesCountedByteForByte) {
   const int shard = GetParam();
   Rng rng(0xBADC0DE5EEDull + static_cast<std::uint64_t>(shard) * 7919);
   for (int draw = 0; draw < kDrawsPerShard; ++draw) {
@@ -126,27 +40,22 @@ TEST_P(BackendDiff, NativeMatchesCellModelByteForByte) {
                                                draw));
     const Image img = synth::photographic(d.width, d.height, 3, d.image_seed);
 
-    cellenc::PipelineOptions cell_opt = d.opt;
-    cell_opt.backend = backend::BackendKind::kCellModel;
-    cellenc::PipelineOptions native_opt = d.opt;
-    native_opt.backend = backend::BackendKind::kNative;
+    // The first encode counts (tile 0 at least: later tiles of the same
+    // shape already hit); the second charges every front from the memo.
+    cellenc::CellEncoder enc(config(d.spes, d.ppes));
+    const auto counted = enc.encode(img, d.params, d.opt);
+    const auto hit = enc.encode(img, d.params, d.opt);
+    ASSERT_LT(counted.front_memo_hits, counted.tiles) << d.describe();
+    ASSERT_EQ(hit.front_memo_hits, hit.tiles) << d.describe();
 
-    cellenc::CellEncoder cell_enc(config(d.spes, d.ppes));
-    const auto cell_res = cell_enc.encode(img, d.params, cell_opt);
-    cellenc::CellEncoder native_enc(config(d.spes, d.ppes));
-    const auto native_res = native_enc.encode(img, d.params, native_opt);
+    ASSERT_EQ(common::sha256_hex(hit.codestream),
+              common::sha256_hex(counted.codestream))
+        << "shard=" << shard << " draw=" << draw << " " << d.describe();
 
-    ASSERT_EQ(common::sha256_hex(native_res.codestream),
-              common::sha256_hex(cell_res.codestream))
-        << "shard=" << shard << " draw=" << draw << " " << d.describe()
-        << " (native isa: " << backend::native_isa() << ")";
-
-    // Anchor to the serial reference so both backends drifting in step
-    // still fails (every fifth draw keeps the sweep cheap).
     if (draw % 5 == 0) {
       const auto serial = jp2k::encode(img, d.params);
-      ASSERT_EQ(cell_res.codestream, serial)
-          << "cell-vs-serial shard=" << shard << " draw=" << draw << " "
+      ASSERT_EQ(counted.codestream, serial)
+          << "counted-vs-serial shard=" << shard << " draw=" << draw << " "
           << d.describe();
     }
   }

@@ -445,8 +445,10 @@ TEST(Pipeline, ReportsPerStageWallSecondsOutsideTheMetrics) {
       CellEncoder enc(config(4));
       const auto res = enc.encode(img, p, opt);
       const auto wall = res.wall_metrics();
-      ASSERT_EQ(wall.size(), res.stages.size() + 1);
+      ASSERT_EQ(wall.size(), res.stages.size() + 2);
       EXPECT_EQ(wall.at("wall.seconds"), res.wall_seconds);
+      EXPECT_EQ(wall.at("wall.front_memo_hits"),
+                static_cast<double>(res.front_memo_hits));
       double stage_sum = 0;
       for (const auto& s : res.stages) {
         EXPECT_EQ(wall.at("wall.stage." + s.name), s.wall_seconds);

@@ -167,21 +167,25 @@ TEST_P(Golden, PipelineMatchesPinnedDigestAtEverySpeCount) {
   }
 }
 
-// The native host-SIMD backend must hit the same pinned digests: vector
-// reassociation or a pad-lane read would drift bytes here first
-// (DESIGN.md §13's byte-identity contract).
-TEST_P(Golden, NativeSimdBackendMatchesPinnedDigest) {
+// A warm encoder's second encode runs every tile front as host code on main
+// memory and charges the memoized timings; it must hit the same pinned
+// digests and stage seconds (DESIGN.md §13).
+TEST_P(Golden, MemoHitMatchesPinnedDigest) {
   const GoldenCase& gc = GetParam();
   const Image img = golden_image();
   const jp2k::CodingParams p = golden_params(gc);
-  cellenc::PipelineOptions opt;
-  opt.backend = backend::BackendKind::kNative;
   for (int spes : {1, 16}) {
     cellenc::CellEncoder enc(config(spes, 2));
-    const auto res = enc.encode(img, p, opt);
-    EXPECT_EQ(common::sha256_hex(res.codestream), gc.digest)
-        << gc.name << " at " << spes << " SPEs (native backend, "
-        << backend::native_isa() << ")";
+    const auto counted = enc.encode(img, p);
+    const auto hit = enc.encode(img, p);
+    EXPECT_EQ(hit.front_memo_hits, hit.tiles) << gc.name;
+    EXPECT_EQ(common::sha256_hex(hit.codestream), gc.digest)
+        << gc.name << " at " << spes << " SPEs (memo hit)";
+    ASSERT_EQ(hit.stages.size(), counted.stages.size()) << gc.name;
+    for (std::size_t i = 0; i < hit.stages.size(); ++i) {
+      EXPECT_EQ(hit.stages[i].seconds, counted.stages[i].seconds)
+          << gc.name << " stage " << hit.stages[i].name;
+    }
   }
 }
 

@@ -132,25 +132,6 @@ def has_service_rows(trend):
                for row in trend.values())
 
 
-def wall_note(derived_list):
-    """Wall-clock columns from the latest derived metrics (DESIGN.md Â§13):
-    '(native wall seconds, native-vs-cell speedup)' when the record carries
-    wall.* keys (bench_native_wallclock rows), ('-', '-') otherwise â the
-    simulated-time benches keep their report shape."""
-    latest = next((d for d in reversed(derived_list) if d), None)
-    if not latest:
-        return ("-", "-")
-    native = latest.get("wall.native_seconds")
-    gain = latest.get("wall.speedup_native")
-    return ("-" if native is None else f"{native:.4g}",
-            "-" if gain is None else f"{gain:.2f}x")
-
-
-def has_wall_rows(trend):
-    return any(wall_note(row["derived"]) != ("-", "-")
-               for row in trend.values())
-
-
 def print_report(runs, trend, out=sys.stdout):
     run_names = [name for name, _ in runs]
     total = sum(len(records) for _, records in runs)
@@ -162,15 +143,12 @@ def print_report(runs, trend, out=sys.stdout):
     # The service columns only appear when some record carries service.*
     # derived metrics, so encode-only reports are byte-stable.
     service = has_service_rows(trend)
-    wall = has_wall_rows(trend)
     label_w = max((len(f"{b}:{l}") for b, l in trend), default=10)
     cols = "  ".join(f"run[{i}]".rjust(12) for i in range(len(runs)))
     header = (f"{'bench:label'.ljust(label_w)}  {cols}  {'Δ last/first':>12}  "
               f"{'audit':>10}  {'hot stage':>14}")
     if service:
         header += f"  {'jobs/s':>8}  {'p99 lat':>9}"
-    if wall:
-        header += f"  {'ntv wall':>9}  {'ntv gain':>8}"
     print(header, file=out)
     for (bench, label), row in trend.items():
         name = f"{bench}:{label}"
@@ -185,9 +163,6 @@ def print_report(runs, trend, out=sys.stdout):
         if service:
             jps, p99 = service_note(row["derived"])
             line += f"  {jps:>8}  {p99:>9}"
-        if wall:
-            ntv, gain = wall_note(row["derived"])
-            line += f"  {ntv:>9}  {gain:>8}"
         print(line, file=out)
 
 
@@ -204,17 +179,13 @@ def selftest():
     svc = ('BENCH_JSON {"bench":"service_throughput","label":"s",'
            '"sim_seconds":0.6,"derived":{"service.jobs_per_sec":19.5,'
            '"service.p99_latency":0.0093,"service.pool_occupancy":0.9}}')
-    wallrec = ('BENCH_JSON {"bench":"native_wallclock","label":"w",'
-               '"sim_seconds":0.03,"derived":{"wall.seconds":0.295,'
-               '"wall.native_seconds":0.267,"wall.speedup_native":1.1}}')
-    records = list(scrape([old, new, svc, wallrec, "noise line",
+    records = list(scrape([old, new, svc, "noise line",
                            "BENCH_JSON {broken"]))
-    assert len(records) == 4, records
+    assert len(records) == 3, records
     trend = build_trend([("run0", records)])
     row_old = trend[("b", "old")]
     row_new = trend[("b", "new")]
     row_svc = trend[("service_throughput", "s")]
-    row_wall = trend[("native_wallclock", "w")]
     assert row_old["derived"] == [None]
     assert row_new["derived"][0]["stage.t1.occupancy"] == 0.9
     assert occupancy_note(row_old["derived"]) == "-"
@@ -226,22 +197,14 @@ def selftest():
     assert service_note(row_new["derived"]) == ("-", "-")
     assert has_service_rows(trend)
     assert not has_service_rows({("b", "old"): row_old})
-    # Wall-clock columns: present for wall.* rows (bench_native_wallclock),
-    # '-' elsewhere, and the column pair only materialises when needed.
-    assert wall_note(row_wall["derived"]) == ("0.267", "1.10x")
-    assert wall_note(row_new["derived"]) == ("-", "-")
-    assert has_wall_rows(trend)
-    assert not has_wall_rows({("b", "old"): row_old})
     import io
     buf = io.StringIO()
     print_report([("run0", records)], trend, out=buf)
     assert "jobs/s" in buf.getvalue() and "19.50" in buf.getvalue()
-    assert "ntv wall" in buf.getvalue() and "1.10x" in buf.getvalue()
     buf2 = io.StringIO()
     print_report([("run0", records[:2])],
                  build_trend([("run0", records[:2])]), out=buf2)
     assert "jobs/s" not in buf2.getvalue()
-    assert "ntv wall" not in buf2.getvalue()
     # The --json shape round-trips both rows (old snapshots stay loadable).
     obj = {"rows": [{"bench": b, "label": l, "sim_seconds": r["series"],
                      "audit": r["audit"], "derived": r["derived"]}

@@ -73,8 +73,7 @@ int usage() {
                "[--chips N]\n"
                "                   [--lossy] [--rate R] [--tiles CxR] "
                "[--block-coder ebcot|ht]\n"
-               "                   [--backend cell|native] [--trace "
-               "out.json]\n"
+               "                   [--trace out.json]\n"
                "       cj2k serve-bench <in.bmp|in.ppm> [--jobs N] "
                "[--policy latency|throughput|adaptive]\n"
                "                   [--jps R] [--seed S] [--spes N] [--ppes N] "
@@ -82,8 +81,7 @@ int usage() {
                "                   [--group-spes N] [--no-steal] [--lossy] "
                "[--rate R]\n"
                "                   [--tiles CxR] [--block-coder ebcot|ht] "
-               "[--backend cell|native]\n"
-               "                   [--trace out.json]\n");
+               "[--trace out.json]\n");
   return 2;
 }
 
@@ -150,20 +148,6 @@ void opt_block_coder(const std::vector<std::string>& args,
     } else {
       throw InvalidArgument("--block-coder expects 'ebcot' or 'ht', got '" +
                             v + "'");
-    }
-    return;
-  }
-}
-
-/// Parses --backend cell|native into pipeline options; leaves the
-/// Cell-model default when the flag is absent.
-void opt_backend(const std::vector<std::string>& args,
-                 cellenc::PipelineOptions& opt) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] != "--backend") continue;
-    if (!backend::parse(args[i + 1], opt.backend)) {
-      throw InvalidArgument("--backend expects 'cell' or 'native', got '" +
-                            args[i + 1] + "'");
     }
     return;
   }
@@ -298,16 +282,15 @@ int cmd_bench(const std::string& in, const std::vector<std::string>& args) {
   opt_tiles(args, p);
 
   cellenc::PipelineOptions opt;
-  opt_backend(args, opt);
   const std::string trace_path = opt_str(args, "--trace");
   opt.trace.enabled = !trace_path.empty();
 
   cellenc::CellEncoder enc(cfg);
   const auto res = enc.encode(img, p, opt);
   std::printf("Cell model: %d SPE + %d PPE thread(s), %d chip(s), "
-              "%s kernel backend\n",
+              "%zu of %zu tile front(s) from the memo\n",
               cfg.num_spes, cfg.num_ppe_threads, cfg.chips,
-              backend::to_string(opt.backend));
+              res.front_memo_hits, res.tiles);
   std::printf("simulated encode: %.2f ms (host wall %.0f ms), %zu bytes\n",
               res.simulated_seconds * 1e3, res.wall_seconds * 1e3,
               res.codestream.size());
@@ -360,8 +343,6 @@ int cmd_serve_bench(const std::string& in,
   p.levels = static_cast<int>(opt_num(args, "--levels", 5));
   opt_block_coder(args, p);
   opt_tiles(args, p);
-  cellenc::PipelineOptions popt;
-  opt_backend(args, popt);
 
   const auto jobs = static_cast<std::size_t>(opt_num(args, "--jobs", 8));
   const double jps = opt_num(args, "--jps", 16.0);
@@ -378,7 +359,6 @@ int cmd_serve_bench(const std::string& in,
       service::EncodeJob job;
       job.image = img;
       job.params = p;
-      job.pipeline = popt;
       job.arrival_seconds = clock;
       svc.submit(std::move(job));
     }
