@@ -1,21 +1,25 @@
 // Tier-1 throughput on the host, single-threaded, over every code block of
 // the 1586x1558 synthetic photo: MQ symbols per second through
 // t1_encode_block and t1_decode_block for the EBCOT coder (9/7 lossy at
-// rate 0.25, and 5/3 lossless), plus the symbol split per pass type; and
+// rate 0.25, and 5/3 lossless), plus the symbol split per pass type and
+// the MQ coder alone (each block's decision stream, recorded once by
+// t1_decision_stream, replayed through MqEncoder and MqDecoder); and
 // samples per second through ht_encode_block and ht_decode_block for the
 // HT coder (the same two wavelet setups).
 //
 // The blocks are the serial encoder's own: jp2k::build_tile codes them, a
 // full decode recovers each block's quantized coefficients, and the timed
 // loops re-code those.  Before reporting, the bench asserts that the
-// re-encoded blocks are byte- and pass-identical to build_tile's and that
+// re-encoded blocks are byte- and pass-identical to build_tile's, that
 // finishing the tile with them reproduces the serial jp2k::encode
-// codestream.  The figures are host wall time, not simulated Cell
+// codestream, and that the MQ replays give each block's codeword and
+// decisions back.  The figures are host wall time, not simulated Cell
 // seconds; they ride the BENCH_JSON "derived"
 // registry (t1.* and ht.* keys) and sim_seconds is 0.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -24,6 +28,8 @@
 #include "common/timer.hpp"
 #include "jp2k/encoder.hpp"
 #include "jp2k/ht_block.hpp"
+#include "jp2k/mq_decoder.hpp"
+#include "jp2k/mq_encoder.hpp"
 #include "jp2k/t1_decoder.hpp"
 #include "jp2k/t1_encoder.hpp"
 
@@ -97,6 +103,60 @@ void decode_block(const Variant& v, const jp2k::CodingParams& p,
                           static_cast<int>(e.passes.size()), orient, out,
                           p.t1);
   }
+}
+
+/// Every block's decision stream, concatenated; block i's stream is
+/// [begin[i], begin[i + 1]).
+struct Decisions {
+  std::vector<jp2k::T1Decision> all;
+  std::vector<std::size_t> begin;
+};
+
+/// Times the MQ coder alone over `d` (best of `reps`) and returns {encode,
+/// decode} seconds: encode into fresh codewords, which must equal the
+/// blocks', and decode the blocks' codewords, whose decisions must equal
+/// the streams'.  The variants code without RESET, so one context bank
+/// serves a block's whole stream.
+std::pair<double, double> time_mq_replay(const std::vector<Block>& blocks,
+                                         const Decisions& d, int reps) {
+  std::vector<std::vector<std::uint8_t>> bytes(blocks.size());
+  double enc_s = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    Timer t;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      if (d.begin[i] == d.begin[i + 1]) continue;  // all-zero block
+      jp2k::MqEncoder enc(bytes[i]);
+      jp2k::T1ContextBank ctx;
+      for (std::size_t k = d.begin[i]; k < d.begin[i + 1]; ++k) {
+        enc.encode(ctx[d.all[k].context], d.all[k].bit);
+      }
+      enc.flush();
+    }
+    const double s = t.seconds();
+    enc_s = r == 0 ? s : std::min(enc_s, s);
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    CJ2K_CHECK_MSG(bytes[i] == blocks[i].cb->enc.data,
+                   "MQ replay differs from the block's codeword");
+  }
+
+  int mismatch = 0;
+  double dec_s = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    Timer t;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const std::vector<std::uint8_t>& data = blocks[i].cb->enc.data;
+      jp2k::MqDecoder dec(data.data(), data.size());
+      jp2k::T1ContextBank ctx;
+      for (std::size_t k = d.begin[i]; k < d.begin[i + 1]; ++k) {
+        mismatch |= dec.decode(ctx[d.all[k].context]) ^ d.all[k].bit;
+      }
+    }
+    const double s = t.seconds();
+    dec_s = r == 0 ? s : std::min(dec_s, s);
+  }
+  CJ2K_CHECK_MSG(mismatch == 0, "MQ replay decoded a different decision");
+  return {enc_s, dec_s};
 }
 
 void run_variant(const Variant& v, const Image& img, int reps) {
@@ -175,6 +235,19 @@ void run_variant(const Variant& v, const Image& img, int reps) {
     m.set("ht.encode_msamples_per_s", msym / enc_s);
     m.set("ht.decode_msamples_per_s", msym / dec_s);
   } else {
+    Decisions d;
+    d.begin.push_back(0);
+    for (const Block& b : blocks) {
+      const std::vector<jp2k::T1Decision> s = jp2k::t1_decision_stream(
+          Span2d<const Sample>(b.coeffs.data(), b.cb->w, b.cb->h), b.orient,
+          p.t1);
+      d.all.insert(d.all.end(), s.begin(), s.end());
+      d.begin.push_back(d.all.size());
+    }
+    CJ2K_CHECK_MSG(d.all.size() == symbols,
+                   "decision streams differ from the symbol count");
+    const auto [mq_enc_s, mq_dec_s] = time_mq_replay(blocks, d, reps);
+
     const double share = symbols ? 100.0 / static_cast<double>(symbols) : 0.0;
     std::printf("  %-20s %7zu blocks %9.2f Msym  encode %8.2f ms %7.2f "
                 "Msym/s  decode %8.2f ms %7.2f Msym/s\n",
@@ -185,6 +258,10 @@ void run_variant(const Variant& v, const Image& img, int reps) {
                 "", static_cast<double>(by_type[0]) * share,
                 static_cast<double>(by_type[1]) * share,
                 static_cast<double>(by_type[2]) * share);
+    std::printf("  %-20s MQ coder alone:              encode %8.2f ms %7.2f "
+                "Msym/s  decode %8.2f ms %7.2f Msym/s\n",
+                "", mq_enc_s * 1e3, msym / mq_enc_s, mq_dec_s * 1e3,
+                msym / mq_dec_s);
     m.set("t1.symbols", static_cast<double>(symbols));
     m.set("t1.symbols.significance", static_cast<double>(by_type[0]));
     m.set("t1.symbols.refinement", static_cast<double>(by_type[1]));
@@ -193,6 +270,10 @@ void run_variant(const Variant& v, const Image& img, int reps) {
     m.set("t1.decode_seconds", dec_s);
     m.set("t1.encode_msym_per_s", msym / enc_s);
     m.set("t1.decode_msym_per_s", msym / dec_s);
+    m.set("t1.mq_encode_seconds", mq_enc_s);
+    m.set("t1.mq_decode_seconds", mq_dec_s);
+    m.set("t1.mq_encode_msym_per_s", msym / mq_enc_s);
+    m.set("t1.mq_decode_msym_per_s", msym / mq_dec_s);
   }
   bench::emit_json_metrics("t1_throughput", v.label, 0.0, m);
 }

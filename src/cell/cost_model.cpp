@@ -86,9 +86,4 @@ double CostModel::spe_busy_seconds(const OpCounters& c,
   return std::max(compute, dma_async) + (dma - dma_async);
 }
 
-double CostModel::spe_dma_exposed_seconds(const OpCounters& c,
-                                          bool overlap_dma) const {
-  return spe_busy_seconds(c, overlap_dma) - spe_seconds(c);
-}
-
 }  // namespace cj2k::cell

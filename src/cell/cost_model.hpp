@@ -144,11 +144,6 @@ class CostModel {
   /// maxes over, and the span length the trace draws for the SPE.
   double spe_busy_seconds(const OpCounters& c, bool overlap_dma) const;
 
-  /// The exposed (non-hidden) DMA share of spe_busy_seconds:
-  /// spe_busy_seconds - spe_seconds.  Feeds the dma-wait bucket of the
-  /// stall attribution and the hidden-vs-exposed split in the trace.
-  double spe_dma_exposed_seconds(const OpCounters& c, bool overlap_dma) const;
-
  private:
   CostParams p_;
 };

@@ -1,9 +1,11 @@
 // MQ arithmetic coder probability model shared by encoder and decoder
 // (ISO/IEC 15444-1 Annex C).  The coder is a multiplier-free binary
-// arithmetic coder driven by a 47-state probability estimation table.
+// arithmetic coder driven by a 47-state probability estimation table, which
+// the coders index folded with each context's MPS sense (94 states).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace cj2k::jp2k {
@@ -16,7 +18,8 @@ struct MqStateRow {
   std::uint8_t sw;      ///< 1 if the MPS sense flips on LPS.
 };
 
-/// The 47-entry probability state table.
+/// The 47-entry probability state table: the single statement of Table C.2,
+/// from which kMqStates is derived.
 inline constexpr std::array<MqStateRow, 47> kMqTable = {{
     {0x5601, 1, 1, 1},   {0x3401, 2, 6, 0},   {0x1801, 3, 9, 0},
     {0x0AC1, 4, 12, 0},  {0x0521, 5, 29, 0},  {0x0221, 38, 33, 0},
@@ -36,15 +39,37 @@ inline constexpr std::array<MqStateRow, 47> kMqTable = {{
     {0x0001, 45, 43, 0}, {0x5601, 46, 46, 0},
 }};
 
-/// Adaptive context: current table index plus the sense of the MPS.
+/// One row of the folded transition table: state s = 2·index + mps, so
+/// the context's MPS sense rides in the state's low bit and an LPS on a
+/// SWITCH row lands on the opposite sense.  The same relabelling of Annex C
+/// as OpenJPEG's mqc_states[47 * 2].
+struct MqState {
+  std::uint32_t qe;     ///< LPS probability estimate of row s / 2.
+  std::uint8_t nmps;    ///< Next state after an MPS.
+  std::uint8_t nlps;    ///< Next state after an LPS.
+};
+
+/// Table C.2 folded with the MPS sense: row 2·i + mps of kMqTable row i.
+inline constexpr std::array<MqState, 2 * kMqTable.size()> kMqStates = [] {
+  std::array<MqState, 2 * kMqTable.size()> states{};
+  for (std::size_t i = 0; i < kMqTable.size(); ++i) {
+    const MqStateRow& row = kMqTable[i];
+    for (unsigned mps = 0; mps < 2; ++mps) {
+      states[2 * i + mps] = {
+          row.qe, static_cast<std::uint8_t>(2 * row.nmps + mps),
+          static_cast<std::uint8_t>(2 * row.nlps + (mps ^ row.sw))};
+    }
+  }
+  return states;
+}();
+
+/// Adaptive context: one kMqStates index, 2·(table index) + MPS sense.
 struct MqContext {
-  std::uint8_t index = 0;
-  std::uint8_t mps = 0;
+  std::uint8_t state = 0;
 
   /// Resets to the given initial table index with MPS = 0.
   void reset(std::uint8_t initial_index = 0) {
-    index = initial_index;
-    mps = 0;
+    state = static_cast<std::uint8_t>(2 * initial_index);
   }
 };
 

@@ -31,34 +31,35 @@ class MqDecoder {
     a_ = 0x8000;
   }
 
-  /// Decodes one binary decision in context `cx`.
+  /// Decodes one binary decision in context `cx`.  The MPS sense comes
+  /// from the state byte itself, not from its table row, so the decided
+  /// bit does not wait on the table load.
   [[gnu::always_inline]] int decode(MqContext& cx) {
-    const MqStateRow& st = kMqTable[cx.index];
+    const MqState& st = kMqStates[cx.state];
     const std::uint32_t qe = st.qe;
+    const int mps = cx.state & 1;
     int d;
     a_ -= qe;
     if ((c_ >> 16) < qe) {
       // LPS exchange path (Figure C.16 right side).
       if (a_ < qe) {
-        d = cx.mps;
-        cx.index = st.nmps;
+        d = mps;
+        cx.state = st.nmps;
       } else {
-        d = 1 - cx.mps;
-        cx.mps ^= st.sw;
-        cx.index = st.nlps;
+        d = 1 - mps;
+        cx.state = st.nlps;
       }
       a_ = qe;
     } else {
       c_ -= qe << 16;
-      if (a_ & 0x8000) return cx.mps;
+      if (a_ & 0x8000) return mps;
       // MPS exchange path.
       if (a_ < qe) {
-        d = 1 - cx.mps;
-        cx.mps ^= st.sw;
-        cx.index = st.nlps;
+        d = 1 - mps;
+        cx.state = st.nlps;
       } else {
-        d = cx.mps;
-        cx.index = st.nmps;
+        d = mps;
+        cx.state = st.nmps;
       }
     }
     renorm();

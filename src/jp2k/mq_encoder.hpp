@@ -30,21 +30,20 @@ class MqEncoder {
   /// Encodes one binary decision `d` (0/1) in context `cx`.
   [[gnu::always_inline]] void encode(MqContext& cx, int d) {
     ++decisions_;
-    const MqStateRow& st = kMqTable[cx.index];
+    const MqState& st = kMqStates[cx.state];
     const std::uint32_t qe = st.qe;
     a_ -= qe;
     // CODEMPS / CODELPS (Annex C, Figures C.6 and C.7) without a branch on
     // the decision: A takes Qe exactly when the coded symbol's sub-interval
     // is the lower one, i.e. when "is MPS" equals the conditional exchange
     // test A < Qe; otherwise C advances past the lower sub-interval.
-    const bool mps = d == cx.mps;
+    const bool mps = d == (cx.state & 1);
     const std::uint32_t take_qe =
         0u - static_cast<std::uint32_t>(mps == (a_ < qe));
     c_ += qe & ~take_qe;
     a_ = (qe & take_qe) | (a_ & ~take_qe);
     if (a_ & 0x8000) return;  // only an MPS can leave A normalized
-    cx.index = mps ? st.nmps : st.nlps;
-    cx.mps ^= mps ? 0 : st.sw;
+    cx.state = mps ? st.nmps : st.nlps;
     renorm();
   }
 

@@ -34,7 +34,8 @@ inline constexpr int kCtxUniform = 18;
 inline constexpr int kNumT1Contexts = 19;
 
 /// Per-code-block context bank with the standard initial states
-/// (ZC(0) starts in state 4, RL in state 3, UNIFORM in state 46).
+/// (ZC(0) starts in table state 4, RL in 3, UNIFORM in 46; as kMqStates
+/// indices with MPS 0, 8, 6 and 92).
 class T1ContextBank {
  public:
   T1ContextBank() { reset(); }

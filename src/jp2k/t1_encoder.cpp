@@ -1,6 +1,7 @@
 #include "jp2k/t1_encoder.hpp"
 
 #include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "jp2k/mq_encoder.hpp"
@@ -26,7 +27,27 @@ namespace {
          static_cast<double>(e_new * e_new);
 }
 
-/// Working state for one block encode.
+/// Stands in for MqEncoder to log a block's decisions uncoded: each one's
+/// context, as its index in the block's context bank, and its bit.
+class DecisionRecorder {
+ public:
+  DecisionRecorder(const MqContext* bank, std::vector<T1Decision>& log)
+      : bank_(bank), log_(&log) {}
+
+  void encode(const MqContext& cx, int d) {
+    log_->push_back({static_cast<std::uint8_t>(&cx - bank_),
+                     static_cast<std::uint8_t>(d)});
+  }
+  std::size_t truncation_length() const { return 0; }
+  std::uint64_t decisions() const { return log_->size(); }
+
+ private:
+  const MqContext* bank_;
+  std::vector<T1Decision>* log_;
+};
+
+/// Working state for one block encode.  The passes are templates over the
+/// coder: MqEncoder, or DecisionRecorder for t1_decision_stream.
 class BlockEncoder {
  public:
   BlockEncoder(Span2d<const Sample> coeffs, SubbandOrient orient,
@@ -52,6 +73,28 @@ class BlockEncoder {
 
     // Started only here, so an all-zero block allocates no codeword.
     MqEncoder mq(out.data);
+    code_passes(mq, out);
+    mq.flush();
+    // The final pass's truncation estimate may exceed the flushed length;
+    // clamp every stored estimate to the real terminated size.
+    for (auto& pi : out.passes) {
+      if (pi.trunc_len > out.data.size()) pi.trunc_len = out.data.size();
+    }
+    out.total_symbols = symbols_total_;
+    return out;
+  }
+
+  std::vector<T1Decision> record() {
+    std::vector<T1Decision> log;
+    T1EncodedBlock passes;  // pass records, discarded
+    DecisionRecorder rec(&ctx_[0], log);
+    code_passes(rec, passes);
+    return log;
+  }
+
+ private:
+  template <class Coder>
+  void code_passes(Coder& mq, T1EncodedBlock& out) {
     for (int p = num_planes_ - 1; p >= 0; --p) {
       if (p != num_planes_ - 1) {
         if (opt_.reset_contexts) ctx_.reset();
@@ -65,24 +108,16 @@ class BlockEncoder {
       cleanup_pass(mq, p);
       finish_pass(out, mq, PassType::kCleanup, p);
     }
-    mq.flush();
-    // The final pass's truncation estimate may exceed the flushed length;
-    // clamp every stored estimate to the real terminated size.
-    for (auto& pi : out.passes) {
-      if (pi.trunc_len > out.data.size()) pi.trunc_len = out.data.size();
-    }
-    out.total_symbols = symbols_total_;
-    return out;
   }
 
- private:
   // Each pass copies the block's MQ coder `coder` into a local and back
   // (MqEncoder's register discipline), and sums its distortion in a local
   // in coding order, the order the PCRD slopes were pinned with.
 
   /// Codes the sign of the sample in `lane` of `col`, whose flags are `f`,
   /// and marks it significant.
-  [[gnu::always_inline]] void code_sign(MqEncoder& mq, std::uint64_t* col,
+  template <class Coder>
+  [[gnu::always_inline]] void code_sign(Coder& mq, std::uint64_t* col,
                                         unsigned lane, std::uint32_t f) {
     const std::uint8_t sc = sc_[(f >> 4) & 0xFF];
     const bool negative = (f & kFlagSign) != 0;
@@ -93,8 +128,9 @@ class BlockEncoder {
   // The passes walk each column's lane set (T1Flags masks) rather than
   // testing every lane, so a column costs one branch per coded lane.
 
-  void significance_pass(MqEncoder& coder, int p) {
-    MqEncoder mq = coder;
+  template <class Coder>
+  void significance_pass(Coder& coder, int p) {
+    Coder mq = coder;
     double dist = 0.0;
     for (std::size_t s = 0; s < flags_.stripes(); ++s) {
       const std::uint64_t inside = flags_.lane_mask(s);
@@ -125,8 +161,9 @@ class BlockEncoder {
     coder = mq;
   }
 
-  void refinement_pass(MqEncoder& coder, int p) {
-    MqEncoder mq = coder;
+  template <class Coder>
+  void refinement_pass(Coder& coder, int p) {
+    Coder mq = coder;
     double dist = 0.0;
     for (std::size_t s = 0; s < flags_.stripes(); ++s) {
       std::uint64_t* col = flags_.column(s, 0);
@@ -151,8 +188,9 @@ class BlockEncoder {
     coder = mq;
   }
 
-  void cleanup_pass(MqEncoder& coder, int p) {
-    MqEncoder mq = coder;
+  template <class Coder>
+  void cleanup_pass(Coder& coder, int p) {
+    Coder mq = coder;
     double dist = 0.0;
     for (std::size_t s = 0; s < flags_.stripes(); ++s) {
       const std::uint64_t inside = flags_.lane_mask(s);
@@ -195,7 +233,8 @@ class BlockEncoder {
     coder = mq;
   }
 
-  void finish_pass(T1EncodedBlock& out, const MqEncoder& mq, PassType type,
+  template <class Coder>
+  void finish_pass(T1EncodedBlock& out, const Coder& mq, PassType type,
                    int plane) {
     PassInfo pi;
     pi.type = type;
@@ -226,6 +265,12 @@ T1EncodedBlock t1_encode_block(Span2d<const Sample> coeffs,
                                SubbandOrient orient,
                                const T1Options& options) {
   return BlockEncoder(coeffs, orient, options).run();
+}
+
+std::vector<T1Decision> t1_decision_stream(Span2d<const Sample> coeffs,
+                                           SubbandOrient orient,
+                                           const T1Options& options) {
+  return BlockEncoder(coeffs, orient, options).record();
 }
 
 }  // namespace cj2k::jp2k

@@ -18,10 +18,31 @@ namespace {
 // The MQ coder as Annex C draws it: one renormalization shift per loop
 // iteration, registers in the object, output grown a byte at a time.  The
 // production coder must match it byte for byte and decision for decision.
+// It keeps its own {index, mps} contexts and reads kMqTable only, so the
+// folded kMqStates table is checked against Table C.2, not against itself.
+
+struct RefMqContext {
+  std::uint8_t index = 0;
+  std::uint8_t mps = 0;
+};
+
+/// The Tier-1 initial states of Annex D, Table D.7.
+class RefContextBank {
+ public:
+  RefContextBank() {
+    ctx_[kCtxZcBase].index = 4;
+    ctx_[kCtxRunLength].index = 3;
+    ctx_[kCtxUniform].index = 46;
+  }
+  RefMqContext& operator[](int i) { return ctx_[static_cast<std::size_t>(i)]; }
+
+ private:
+  RefMqContext ctx_[kNumT1Contexts];
+};
 
 class RefMqEncoder {
  public:
-  void encode(MqContext& cx, int d) {
+  void encode(RefMqContext& cx, int d) {
     ++decisions_;
     const MqStateRow& st = kMqTable[cx.index];
     const std::uint32_t qe = st.qe;
@@ -126,7 +147,7 @@ class RefMqDecoder {
     a_ = 0x8000;
   }
 
-  int decode(MqContext& cx) {
+  int decode(RefMqContext& cx) {
     const MqStateRow& st = kMqTable[cx.index];
     const std::uint32_t qe = st.qe;
     int d;
@@ -214,6 +235,38 @@ TEST(MqTable, TerminalStatesSelfLoop) {
   EXPECT_EQ(kMqTable[45].nmps, 45);
   EXPECT_EQ(kMqTable[46].nmps, 46);
   EXPECT_EQ(kMqTable[46].nlps, 46);
+}
+
+TEST(MqTable, FoldedStatesFollowTableC2) {
+  ASSERT_EQ(kMqStates.size(), 2 * kMqTable.size());
+  for (std::size_t s = 0; s < kMqStates.size(); ++s) {
+    const MqStateRow& row = kMqTable[s / 2];
+    const MqState& st = kMqStates[s];
+    const unsigned mps = s & 1;  // the state's low bit is its MPS sense
+    EXPECT_EQ(st.qe, row.qe) << "state " << s;
+    EXPECT_LT(st.nmps, kMqStates.size()) << "state " << s;
+    EXPECT_LT(st.nlps, kMqStates.size()) << "state " << s;
+    EXPECT_EQ(st.nmps, 2 * row.nmps + mps) << "state " << s;
+    EXPECT_EQ(st.nlps, 2 * row.nlps + (mps ^ row.sw)) << "state " << s;
+    // An MPS keeps the sense; an LPS flips it on SWITCH rows 0, 6, 14 only.
+    EXPECT_EQ(st.nmps & 1u, mps) << "state " << s;
+    const bool flips = (st.nlps & 1u) != mps;
+    const std::size_t i = s / 2;
+    EXPECT_EQ(flips, i == 0 || i == 6 || i == 14) << "state " << s;
+  }
+
+  // ZC(0) starts in table state 4, RL in 3, UNIFORM in 46, all with MPS 0.
+  T1ContextBank bank;
+  for (int c = 0; c < kNumT1Contexts; ++c) {
+    const int expect = c == kCtxZcBase      ? 8
+                       : c == kCtxRunLength ? 6
+                       : c == kCtxUniform   ? 92
+                                            : 0;
+    EXPECT_EQ(bank[c].state, expect) << "context " << c;
+  }
+  bank[kCtxUniform].state = 5;
+  bank.reset();
+  EXPECT_EQ(bank[kCtxUniform].state, 92);
 }
 
 TEST(MqTable, SwitchOnlyOnKnownStates) {
@@ -330,7 +383,7 @@ TEST(MqEncoder, TruncationLengthIsMonotoneAndCoversOutput) {
   MqEncoder enc(bytes);
   RefMqEncoder ref;
   MqContext cx;
-  MqContext ref_cx;
+  RefMqContext ref_cx;
   std::size_t prev = 0;
   for (int i = 0; i < 5000; ++i) {
     const int d = static_cast<int>(rng.next_below(2));
@@ -410,7 +463,7 @@ TEST(MqDifferential, EncoderMatchesReferenceSymbolBySymbol) {
     MqEncoder enc(bytes);
     RefMqEncoder ref;
     T1ContextBank enc_ctx;
-    T1ContextBank ref_ctx;
+    RefContextBank ref_ctx;
     for (std::size_t i = 0; i < s.bits.size(); ++i) {
       enc.encode(enc_ctx[s.which[i]], s.bits[i]);
       ref.encode(ref_ctx[s.which[i]], s.bits[i]);
@@ -431,7 +484,7 @@ void expect_decoders_agree(const std::vector<std::uint8_t>& data,
   MqDecoder dec(data.data(), data.size());
   RefMqDecoder ref(data.data(), data.size());
   T1ContextBank dec_ctx;
-  T1ContextBank ref_ctx;
+  RefContextBank ref_ctx;
   // Run past the end of the stream: both must synthesize the same 1-bits.
   for (std::size_t i = 0; i < s.bits.size() + 64; ++i) {
     const int cx = s.which[i % s.which.size()];

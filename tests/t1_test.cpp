@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "image/image.hpp"
+#include "jp2k/mq_encoder.hpp"
 #include "jp2k/t1_decoder.hpp"
 #include "jp2k/t1_encoder.hpp"
 
@@ -249,6 +250,43 @@ TEST_P(T1OptionsTest, RoundtripWithCodeBlockStyles) {
                     ov, opt);
     EXPECT_EQ(out, b) << w << "x" << h << " reset=" << reset
                       << " causal=" << causal;
+  }
+}
+
+TEST_P(T1OptionsTest, DecisionStreamReplaysToTheCodeword) {
+  const auto [reset, causal] = GetParam();
+  T1Options opt;
+  opt.reset_contexts = reset;
+  opt.vertically_causal = causal;
+  for (auto [w, h] : {std::pair<std::size_t, std::size_t>{64, 64},
+                      {33, 31},
+                      {1, 1},
+                      {64, 5}}) {
+    for (int o = 0; o < 4; ++o) {
+      const auto orient = static_cast<SubbandOrient>(o);
+      const auto b = random_block(w, h, 800, w * 131 + h + o, 2);
+      Span2d<const Sample> in(b.data(), w, h);
+      const auto enc = t1_encode_block(in, orient, opt);
+      const auto stream = t1_decision_stream(in, orient, opt);
+      ASSERT_EQ(stream.size(), enc.total_symbols);
+      if (enc.passes.empty()) continue;
+
+      std::vector<std::uint8_t> bytes;
+      MqEncoder mq(bytes);
+      T1ContextBank ctx;
+      std::size_t k = 0;
+      for (const PassInfo& pi : enc.passes) {
+        if (reset) ctx.reset();
+        for (std::uint64_t n = 0; n < pi.symbols; ++n, ++k) {
+          ASSERT_LT(stream[k].context, kNumT1Contexts);
+          mq.encode(ctx[stream[k].context], stream[k].bit);
+        }
+      }
+      mq.flush();
+      EXPECT_EQ(bytes, enc.data) << w << "x" << h << " orient " << o
+                                 << " reset=" << reset
+                                 << " causal=" << causal;
+    }
   }
 }
 
