@@ -6,35 +6,6 @@
 
 namespace cj2k::cellenc {
 
-void dma_get_row(cell::DmaEngine& dma, void* ls_dst, const void* main_src,
-                 std::size_t elems) {
-  const std::size_t bytes = elems * 4;
-  const std::size_t bulk = round_down(bytes, kQuadWordBytes);
-  if (bulk > 0) dma.get_large(ls_dst, main_src, bulk);
-  // 4-byte tail transfers (naturally aligned).
-  auto* d = static_cast<std::uint8_t*>(ls_dst) + bulk;
-  const auto* s = static_cast<const std::uint8_t*>(main_src) + bulk;
-  for (std::size_t off = bulk; off < bytes; off += 4) {
-    dma.get(d, s, 4);
-    d += 4;
-    s += 4;
-  }
-}
-
-void dma_put_row(cell::DmaEngine& dma, const void* ls_src, void* main_dst,
-                 std::size_t elems) {
-  const std::size_t bytes = elems * 4;
-  const std::size_t bulk = round_down(bytes, kQuadWordBytes);
-  if (bulk > 0) dma.put_large(ls_src, main_dst, bulk);
-  const auto* s = static_cast<const std::uint8_t*>(ls_src) + bulk;
-  auto* d = static_cast<std::uint8_t*>(main_dst) + bulk;
-  for (std::size_t off = bulk; off < bytes; off += 4) {
-    dma.put(s, d, 4);
-    s += 4;
-    d += 4;
-  }
-}
-
 namespace {
 
 /// Shared splitting logic for the tagged row transfers: bulk <=16 KB

@@ -29,15 +29,6 @@
 
 namespace cj2k::cellenc {
 
-/// DMA of exactly `elems` 4-byte elements: a cache-line/quad-word bulk part
-/// plus 4-byte tail transfers (the "additional programming" the paper's
-/// scheme avoids when widths are line multiples — the tail also shows up in
-/// the unaligned-transfer counters and thus in the bandwidth model).
-void dma_get_row(cell::DmaEngine& dma, void* ls_dst, const void* main_src,
-                 std::size_t elems);
-void dma_put_row(cell::DmaEngine& dma, const void* ls_src, void* main_dst,
-                 std::size_t elems);
-
 /// Tag-grouped asynchronous row transfers (double-buffering building
 /// blocks): every piece of the row — bulk <=16 KB transfers plus 4-byte
 /// tails — is issued on `tag` without waiting.  Completion is claimed with

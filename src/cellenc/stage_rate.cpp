@@ -101,7 +101,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
   }
 
   // --- Greedy λ-threshold scan + budget refinement (the shared allocation
-  // core mirrors jp2k::finish_tile / finish_tiles so the selection — and
+  // core mirrors jp2k::finish_tiles so the selection — and
   // therefore the codestream — is byte-identical to the serial reference).
   // The sizing hook codes each iteration's selection precinct-parallel and
   // keeps the per-iteration part sizes for the cost model, plus the last

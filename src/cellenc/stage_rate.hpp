@@ -35,9 +35,9 @@
 // seconds + overlap_saved is the phase-ordered tail's time.
 //
 // serial_tail charges the paper's own configuration instead: rate control
-// and Tier-2 run serially on the PPE through jp2k::finish_tile(s).
+// and Tier-2 run serially on the PPE through jp2k::finish_tiles.
 //
-// The stage reuses jp2k's rate_control_*_presorted and t2_encode_precincts
+// The stage reuses jp2k's allocate_rate_across_tiles and t2_encode_precincts
 // directly, so the codestream is byte-identical to jp2k::encode.
 #pragma once
 
@@ -67,7 +67,7 @@ struct LossyTailResult {
   double serial_t2_seconds = 0;
 };
 
-/// Runs rate control (single- or multi-layer, mirroring jp2k::finish_tile)
+/// Runs rate control (single- or multi-layer, mirroring jp2k::finish_tiles)
 /// and Tier-2 + framing over the machine model.  `hulls` is the capture
 /// filled by stage_t1; its worker lists are consumed (moved out).
 LossyTailResult stage_rate_tail(cell::Machine& m, jp2k::Tile& tile,
@@ -87,7 +87,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
                                       HullCapture& hulls);
 
 /// The paper's serial tail (Fig. 5 baseline), charged from the work the
-/// serial jp2k::finish_tile / finish_tiles reported in `stats`: rate
+/// serial jp2k::finish_tiles reported in `stats`: rate
 /// allocation at passes_considered x ppe_rate_cycles_per_pass, Tier-2 and
 /// framing at codestream_bytes x ppe_t2_cycles_per_byte.  Returns the
 /// "rate" stage (lossy runs only) then "t2", each wholly PPE-serial, and

@@ -107,28 +107,29 @@ T1StageResult stage_t1(cell::Machine& m, jp2k::Tile& tile,
       ht ? cp.spe_ht_cycles_per_sample : cp.spe_t1_cycles_per_symbol;
   const double ppe_unit =
       ht ? cp.ppe_ht_cycles_per_sample : cp.ppe_t1_cycles_per_symbol;
-  std::vector<double> speed;       // seconds per symbol
-  std::vector<double> hull_speed;  // seconds per coding pass
+  std::vector<double> speed;  // seconds per symbol
+  decomp::ItemTail hull;      // coding passes per block, seconds per pass
   for (int i = 0; i < m.num_spes(); ++i) {
     speed.push_back(spe_unit / cp.clock_hz);
-    hull_speed.push_back(cp.spe_rate_hull_cycles_per_pass / cp.clock_hz);
+    hull.speed_factor.push_back(cp.spe_rate_hull_cycles_per_pass /
+                                cp.clock_hz);
   }
   for (int i = 0; i < m.num_ppe_threads(); ++i) {
     speed.push_back(ppe_unit / cp.clock_hz);
-    hull_speed.push_back(cp.ppe_rate_hull_cycles_per_pass / cp.clock_hz);
+    hull.speed_factor.push_back(cp.ppe_rate_hull_cycles_per_pass /
+                                cp.clock_hz);
   }
   CJ2K_CHECK_MSG(!speed.empty(), "T1 needs at least one processing element");
 
-  std::vector<double> cost;       // symbols per block
-  std::vector<double> hull_cost;  // coding passes per block
+  std::vector<double> cost;  // symbols per block
   cost.reserve(blocks.size());
-  hull_cost.reserve(blocks.size());
+  hull.cost.reserve(blocks.size());
   T1StageResult res;
   std::uint64_t dma_bytes = 0;
   std::uint64_t total_passes = 0;
   for (const auto& br : blocks) {
     cost.push_back(static_cast<double>(br.cb->enc.total_symbols));
-    hull_cost.push_back(static_cast<double>(br.cb->enc.passes.size()));
+    hull.cost.push_back(static_cast<double>(br.cb->enc.passes.size()));
     total_passes += br.cb->enc.passes.size();
     res.total_symbols += br.cb->enc.total_symbols;
     dma_bytes += static_cast<std::uint64_t>(br.cb->w) * br.cb->h *
@@ -147,24 +148,18 @@ T1StageResult stage_t1(cell::Machine& m, jp2k::Tile& tile,
   res.queue_makespan = queue_sched.makespan;
   res.static_makespan = static_sched.makespan;
 
-  decomp::Schedule chosen =
-      dist == T1Distribution::kWorkQueue ? queue_sched : static_sched;
-  bool fused_tails = false;
-  double chosen_makespan = chosen.makespan;
-  if (hulls) {
-    auto fused =
-        dist == T1Distribution::kWorkQueue
-            ? decomp::schedule_virtual_fused(cost, speed, hull_cost,
-                                             hull_speed)
-            : decomp::schedule_static_fused(cost, speed, hull_cost,
-                                            hull_speed);
-    res.hull_extra_seconds = fused.makespan - chosen_makespan;
+  const bool queue = dist == T1Distribution::kWorkQueue;
+  decomp::Schedule chosen = queue ? queue_sched : static_sched;
+  const bool fused_tails = hulls != nullptr;
+  if (fused_tails) {
+    const double plain_makespan = chosen.makespan;
+    chosen = queue ? decomp::schedule_virtual(cost, speed, hull)
+                   : decomp::schedule_static(cost, speed, hull);
+    res.hull_extra_seconds = chosen.makespan - plain_makespan;
     res.hull_serial_seconds = static_cast<double>(total_passes) *
                               cp.ppe_rate_hull_cycles_per_pass / cp.clock_hz;
-    chosen_makespan = fused.makespan;
-    chosen = std::move(fused);
-    fused_tails = true;
   }
+  const double chosen_makespan = chosen.makespan;
 
   res.timing.name = "tier1";
   res.timing.dma_bytes = dma_bytes;
@@ -203,10 +198,10 @@ T1StageResult stage_t1(cell::Machine& m, jp2k::Tile& tile,
       const int w = chosen.assignment[i];
       const std::size_t wi = static_cast<std::size_t>(w);
       double dur = cost[i] * speed[wi];
-      if (fused_tails) dur += hull_cost[i] * hull_speed[wi];
+      if (fused_tails) dur += hull.cost[i] * hull.speed_factor[wi];
       std::snprintf(args, sizeof args,
                     "\"block\":%zu,\"symbols\":%.0f,\"passes\":%.0f", i,
-                    cost[i], hull_cost[i]);
+                    cost[i], hull.cost[i]);
       rec->emit_span(worker_track(w),
                      fused_tails ? "t1 block + hull" : "t1 block", "t1",
                      t0 + chosen.item_finish[i] - dur, dur, args);

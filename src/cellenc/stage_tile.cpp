@@ -129,6 +129,10 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     }
   }
 
+  std::vector<jp2k::Tile*> ptrs;
+  ptrs.reserve(ntiles);
+  for (auto& f : fronts) ptrs.push_back(&f.tile);
+
   // --- Pipeline phase lists, one item per tile.
   std::vector<std::vector<decomp::PipelinePhase>> items(ntiles);
   for (std::size_t k = 0; k < ntiles; ++k) {
@@ -177,9 +181,6 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
       merged.stats.hull_points += hulls[i].stats.hull_points;
     }
 
-    std::vector<jp2k::Tile*> ptrs;
-    ptrs.reserve(ntiles);
-    for (auto& f : fronts) ptrs.push_back(&f.tile);
     LossyTailResult tail =
         stage_rate_tail_tiles(machine, grid, ptrs, img, params, merged);
     res.codestream = std::move(tail.codestream);
@@ -201,11 +202,8 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
     const double front_makespan = front_sched.makespan;
     emit_waves(front_sched);
 
-    std::vector<jp2k::Tile> tiles;
-    tiles.reserve(ntiles);
-    for (auto& f : fronts) tiles.push_back(std::move(f.tile));
     jp2k::EncodeStats fstats;
-    res.codestream = jp2k::finish_tiles(tiles, grid, img, params, &fstats);
+    res.codestream = jp2k::finish_tiles(ptrs, grid, img, params, &fstats);
     for (auto& s : serial_tail(cp, trec.get(), fstats, res.codestream.size(),
                                /*lossy=*/true)) {
       res.stages.push_back(std::move(s));
@@ -246,11 +244,8 @@ PipelineResult encode_tiled(cell::Machine& machine, const Image& img,
       trec->advance_clock(t2_t.seconds);
     }
 
-    std::vector<const jp2k::Tile*> cptrs;
-    cptrs.reserve(ntiles);
-    for (const auto& f : fronts) cptrs.push_back(&f.tile);
-    res.codestream =
-        jp2k::frame_codestream_tiles(cptrs, grid, img, params, packets);
+    res.codestream = jp2k::frame_codestream_tiles(
+        {ptrs.begin(), ptrs.end()}, grid, img, params, packets);
     res.stages.back().wall_seconds = t2_wall.seconds();
 
     const auto full_sched = decomp::schedule_pipeline(items, gp.groups);

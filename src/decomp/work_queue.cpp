@@ -7,32 +7,68 @@
 namespace cj2k::decomp {
 
 namespace {
+
 double finish(const Schedule& s) {
   double m = 0;
   for (double t : s.worker_time) m = std::max(m, t);
   return m;
 }
-}  // namespace
 
-Schedule schedule_virtual(const std::vector<double>& item_cost,
-                          const std::vector<double>& worker_speed_factor) {
+/// Replays the items in order, each on the worker `pick` names (given the
+/// worker times so far and the item index), for its cost plus its tail's.
+template <class Pick>
+Schedule replay(const std::vector<double>& item_cost,
+                const std::vector<double>& worker_speed_factor,
+                const ItemTail& tail, const Pick& pick) {
   CJ2K_CHECK_MSG(!worker_speed_factor.empty(), "need at least one worker");
+  const bool tails = !tail.cost.empty();
+  if (tails) {
+    CJ2K_CHECK_MSG(tail.cost.size() == item_cost.size(),
+                   "one tail cost per item");
+    CJ2K_CHECK_MSG(tail.speed_factor.size() == worker_speed_factor.size(),
+                   "one tail speed per worker");
+  }
   Schedule s;
   s.assignment.resize(item_cost.size());
   s.item_finish.resize(item_cost.size());
   s.worker_time.assign(worker_speed_factor.size(), 0.0);
   for (std::size_t i = 0; i < item_cost.size(); ++i) {
-    // Earliest-free worker takes the next queue item.
-    std::size_t best = 0;
-    for (std::size_t w = 1; w < s.worker_time.size(); ++w) {
-      if (s.worker_time[w] < s.worker_time[best]) best = w;
-    }
-    s.worker_time[best] += item_cost[i] * worker_speed_factor[best];
-    s.assignment[i] = static_cast<int>(best);
-    s.item_finish[i] = s.worker_time[best];
+    const std::size_t w = pick(s.worker_time, i);
+    // Without a tail the update adds the item cost alone, so the replay is
+    // bit-identical to one that never heard of tails.
+    s.worker_time[w] += tails ? item_cost[i] * worker_speed_factor[w] +
+                                    tail.cost[i] * tail.speed_factor[w]
+                              : item_cost[i] * worker_speed_factor[w];
+    s.assignment[i] = static_cast<int>(w);
+    s.item_finish[i] = s.worker_time[w];
   }
   s.makespan = finish(s);
   return s;
+}
+
+}  // namespace
+
+Schedule schedule_virtual(const std::vector<double>& item_cost,
+                          const std::vector<double>& worker_speed_factor,
+                          const ItemTail& tail) {
+  // Earliest-free worker takes the next queue item.
+  return replay(item_cost, worker_speed_factor, tail,
+                [](const std::vector<double>& time, std::size_t) {
+                  std::size_t best = 0;
+                  for (std::size_t w = 1; w < time.size(); ++w) {
+                    if (time[w] < time[best]) best = w;
+                  }
+                  return best;
+                });
+}
+
+Schedule schedule_static(const std::vector<double>& item_cost,
+                         const std::vector<double>& worker_speed_factor,
+                         const ItemTail& tail) {
+  return replay(item_cost, worker_speed_factor, tail,
+                [](const std::vector<double>& time, std::size_t i) {
+                  return i % time.size();
+                });
 }
 
 Schedule schedule_virtual_released(
@@ -95,74 +131,6 @@ HandoffSchedule schedule_ordered_handoff(const std::vector<double>& ready,
   }
   h.makespan = t;
   return h;
-}
-
-Schedule schedule_static(const std::vector<double>& item_cost,
-                         const std::vector<double>& worker_speed_factor) {
-  CJ2K_CHECK_MSG(!worker_speed_factor.empty(), "need at least one worker");
-  Schedule s;
-  s.assignment.resize(item_cost.size());
-  s.item_finish.resize(item_cost.size());
-  s.worker_time.assign(worker_speed_factor.size(), 0.0);
-  for (std::size_t i = 0; i < item_cost.size(); ++i) {
-    const std::size_t w = i % s.worker_time.size();
-    s.worker_time[w] += item_cost[i] * worker_speed_factor[w];
-    s.assignment[i] = static_cast<int>(w);
-    s.item_finish[i] = s.worker_time[w];
-  }
-  s.makespan = finish(s);
-  return s;
-}
-
-Schedule schedule_virtual_fused(const std::vector<double>& item_cost,
-                                const std::vector<double>& worker_speed_factor,
-                                const std::vector<double>& tail_cost,
-                                const std::vector<double>& tail_speed_factor) {
-  CJ2K_CHECK_MSG(!worker_speed_factor.empty(), "need at least one worker");
-  CJ2K_CHECK_MSG(tail_cost.size() == item_cost.size(),
-                 "one tail cost per item");
-  CJ2K_CHECK_MSG(tail_speed_factor.size() == worker_speed_factor.size(),
-                 "one tail speed per worker");
-  Schedule s;
-  s.assignment.resize(item_cost.size());
-  s.item_finish.resize(item_cost.size());
-  s.worker_time.assign(worker_speed_factor.size(), 0.0);
-  for (std::size_t i = 0; i < item_cost.size(); ++i) {
-    std::size_t best = 0;
-    for (std::size_t w = 1; w < s.worker_time.size(); ++w) {
-      if (s.worker_time[w] < s.worker_time[best]) best = w;
-    }
-    s.worker_time[best] += item_cost[i] * worker_speed_factor[best] +
-                           tail_cost[i] * tail_speed_factor[best];
-    s.assignment[i] = static_cast<int>(best);
-    s.item_finish[i] = s.worker_time[best];
-  }
-  s.makespan = finish(s);
-  return s;
-}
-
-Schedule schedule_static_fused(const std::vector<double>& item_cost,
-                               const std::vector<double>& worker_speed_factor,
-                               const std::vector<double>& tail_cost,
-                               const std::vector<double>& tail_speed_factor) {
-  CJ2K_CHECK_MSG(!worker_speed_factor.empty(), "need at least one worker");
-  CJ2K_CHECK_MSG(tail_cost.size() == item_cost.size(),
-                 "one tail cost per item");
-  CJ2K_CHECK_MSG(tail_speed_factor.size() == worker_speed_factor.size(),
-                 "one tail speed per worker");
-  Schedule s;
-  s.assignment.resize(item_cost.size());
-  s.item_finish.resize(item_cost.size());
-  s.worker_time.assign(worker_speed_factor.size(), 0.0);
-  for (std::size_t i = 0; i < item_cost.size(); ++i) {
-    const std::size_t w = i % s.worker_time.size();
-    s.worker_time[w] += item_cost[i] * worker_speed_factor[w] +
-                        tail_cost[i] * tail_speed_factor[w];
-    s.assignment[i] = static_cast<int>(w);
-    s.item_finish[i] = s.worker_time[w];
-  }
-  s.makespan = finish(s);
-  return s;
 }
 
 PipelineSchedule schedule_pipeline(

@@ -23,36 +23,32 @@ struct Schedule {
   double makespan = 0;                ///< max(worker_time).
 };
 
+/// An optional job fused onto every item, run on the same worker right
+/// after the main one (e.g. the R-D hull build that follows a block's
+/// Tier-1 coding).  It may run at a different per-worker speed (branchy
+/// scalar code vs the main kernel), so it has its own speed vector.  An
+/// empty `cost` means no tail.
+struct ItemTail {
+  std::vector<double> cost;          ///< Per item.
+  std::vector<double> speed_factor;  ///< Per worker.
+};
+
 /// Greedy earliest-free-worker assignment: item i (cost item_cost[i] on
-/// worker w = item_cost[i] * worker_speed_factor[w]) goes to the worker
+/// worker w = item_cost[i] * worker_speed_factor[w], plus
+/// tail.cost[i] * tail.speed_factor[w] with a tail) goes to the worker
 /// with the smallest current virtual time.  Items are taken in order, which
-/// mirrors a FIFO work queue.
+/// mirrors a FIFO work queue.  Comparing the makespans with and without a
+/// tail shows how much of the tail work the queue absorbs into the main
+/// span.
 Schedule schedule_virtual(const std::vector<double>& item_cost,
-                          const std::vector<double>& worker_speed_factor);
+                          const std::vector<double>& worker_speed_factor,
+                          const ItemTail& tail = {});
 
 /// Static round-robin assignment (the ablation baseline: "merely
 /// distributing an identical number of code blocks").
 Schedule schedule_static(const std::vector<double>& item_cost,
-                         const std::vector<double>& worker_speed_factor);
-
-/// Earliest-free-worker assignment where every item carries a fused *tail*
-/// job executed on the same worker immediately after the main job (e.g.
-/// the R-D hull build that follows a block's Tier-1 coding).  The tail may
-/// run at a different per-worker speed — branchy scalar code vs the main
-/// kernel — so it has its own speed vector.  Worker w spends
-///   item_cost[i]*worker_speed_factor[w] + tail_cost[i]*tail_speed_factor[w]
-/// on item i.  Comparing this makespan against schedule_virtual's shows
-/// how much of the tail work the queue absorbs into the main span.
-Schedule schedule_virtual_fused(const std::vector<double>& item_cost,
-                                const std::vector<double>& worker_speed_factor,
-                                const std::vector<double>& tail_cost,
-                                const std::vector<double>& tail_speed_factor);
-
-/// Round-robin variant of schedule_virtual_fused (ablation baseline).
-Schedule schedule_static_fused(const std::vector<double>& item_cost,
-                               const std::vector<double>& worker_speed_factor,
-                               const std::vector<double>& tail_cost,
-                               const std::vector<double>& tail_speed_factor);
+                         const std::vector<double>& worker_speed_factor,
+                         const ItemTail& tail = {});
 
 /// Earliest-free-worker assignment where item i only becomes runnable at
 /// `release_time[i]` — the shape of the overlapped λ scan, which releases

@@ -212,8 +212,7 @@ std::vector<std::uint8_t> write_codestream(
 }
 
 StreamHeader parse_codestream(const std::vector<std::uint8_t>& bytes,
-                              std::vector<TilePart>& tiles,
-                              const ParseOptions& opt) {
+                              std::vector<TilePart>& tiles) {
   ByteReader r(bytes.data(), bytes.size());
   StreamHeader hdr;
 
@@ -288,13 +287,7 @@ StreamHeader parse_codestream(const std::vector<std::uint8_t>& bytes,
         hdr.cap_present = true;
         hdr.pcap = r.u32();
         hdr.scap15 = r.u16();
-        if (hdr.pcap & kPcapPart15) {
-          if (!opt.accept_ht) {
-            throw CodestreamError(
-                "HT (Part 15) codestream, but HT support is disabled");
-          }
-          hdr.params.block_coder = BlockCoder::kHt;
-        }
+        if (hdr.pcap & kPcapPart15) hdr.params.block_coder = BlockCoder::kHt;
         break;
       }
       default:

@@ -103,21 +103,12 @@ struct TilePart {
 std::vector<std::uint8_t> write_codestream(const StreamHeader& hdr,
                                            const std::vector<TilePart>& tiles);
 
-/// Parser knobs.
-struct ParseOptions {
-  /// Accept HT (Part 15) codestreams.  When false, a CAP marker announcing
-  /// HT capabilities throws CodestreamError — a decoder built without the
-  /// HT backend must reject rather than mis-decode.
-  bool accept_ht = true;
-};
-
 /// Parses the main header and every tile-part; `tiles` comes back indexed
 /// by Isot with each part's band metadata and packet bounds.  Throws
 /// CodestreamError on malformed input (bad marker, out-of-range or
 /// duplicate Isot, unsupported TPsot/TNsot, Psot overruns, missing tiles).
 StreamHeader parse_codestream(const std::vector<std::uint8_t>& bytes,
-                              std::vector<TilePart>& tiles,
-                              const ParseOptions& opt = {});
+                              std::vector<TilePart>& tiles);
 
 /// Exact framing bytes write_codestream adds around one tile-part's packet
 /// body (SOT marker + segment, QCD, SOD) for a tile with `components`

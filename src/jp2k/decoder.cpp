@@ -233,13 +233,9 @@ Image decode_tile(const StreamHeader& hdr, const TilePart& part,
 
 }  // namespace
 
-Image decode(const std::vector<std::uint8_t>& bytes,
-             const DecodeOptions& opt) {
-  const int max_layers = opt.max_layers;
+Image decode(const std::vector<std::uint8_t>& bytes, int max_layers) {
   std::vector<TilePart> parts;
-  ParseOptions popt;
-  popt.accept_ht = opt.accept_ht;
-  const StreamHeader hdr = parse_codestream(bytes, parts, popt);
+  const StreamHeader hdr = parse_codestream(bytes, parts);
 
   if (max_layers > 0 && hdr.params.progression != Progression::kLRCP) {
     throw InvalidArgument(
@@ -263,12 +259,6 @@ Image decode(const std::vector<std::uint8_t>& bytes,
     blit_tile(timg, rect, img);
   }
   return img;
-}
-
-Image decode(const std::vector<std::uint8_t>& bytes, int max_layers) {
-  DecodeOptions opt;
-  opt.max_layers = max_layers;
-  return decode(bytes, opt);
 }
 
 }  // namespace cj2k::jp2k

@@ -10,22 +10,9 @@
 
 namespace cj2k::jp2k {
 
-/// Decoder knobs.
-struct DecodeOptions {
-  /// > 0 decodes only the first quality layers (progressive decoding);
-  /// 0 decodes all.
-  int max_layers = 0;
-  /// Accept HT (Part 15) codestreams.  When false, an HT stream throws
-  /// CodestreamError at parse time instead of being mis-decoded.
-  bool accept_ht = true;
-};
-
-/// Decodes a codestream produced by encode().  Throws CodestreamError on
-/// malformed input.
-Image decode(const std::vector<std::uint8_t>& bytes,
-             const DecodeOptions& opt);
-
-/// Convenience overload: decode with `max_layers` and HT accepted.
+/// Decodes a codestream produced by encode(); `max_layers` > 0 decodes only
+/// the first quality layers (progressive decoding), 0 decodes all.  Throws
+/// CodestreamError on malformed input.
 Image decode(const std::vector<std::uint8_t>& bytes, int max_layers = 0);
 
 }  // namespace cj2k::jp2k

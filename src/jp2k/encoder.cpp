@@ -119,35 +119,6 @@ void validate(const Image& img, const CodingParams& p) {
 
 namespace {
 
-/// Layered budgets over a tile set (the multi-tile form of
-/// plan_layer_budgets: the "everything" fallback sums every tile's coded
-/// bytes once).
-std::vector<std::size_t> plan_layer_budgets_tiles(
-    const std::vector<Tile*>& tiles, const Image& img,
-    const CodingParams& params) {
-  std::size_t final_budget;
-  if (params.rate > 0.0) {
-    final_budget = static_cast<std::size_t>(
-        params.rate * static_cast<double>(img.raw_bytes()));
-  } else {
-    std::size_t all = 4096;
-    for (const Tile* tp : tiles) {
-      for (const auto& tc : tp->components) {
-        for (const auto& sb : tc.subbands) {
-          for (const auto& cb : sb.blocks) all += cb.enc.data.size() + 8;
-        }
-      }
-    }
-    final_budget = 2 * all;  // effectively unbounded
-  }
-  std::vector<std::size_t> budgets(static_cast<std::size_t>(params.layers));
-  for (int l = 0; l < params.layers; ++l) {
-    budgets[static_cast<std::size_t>(l)] =
-        final_budget >> (params.layers - 1 - l);
-  }
-  return budgets;
-}
-
 /// Runs the selected block coder over every block of a subband whose
 /// coefficients sit in `coeff_plane` at the band's offsets.
 void t1_over_band(Subband& sb, Span2d<const Sample> coeff_plane,
@@ -208,13 +179,13 @@ std::vector<Plane> reversible_front(const Image& img, const CodingParams& p,
       for (; c < ncomp; ++c) level_shift_row(work[c].row(y), w, depth);
     }
   });
-  if (stats) stats->mct_seconds = stage.seconds();
+  if (stats) stats->mct_seconds += stage.seconds();
 
   stage.reset();
   std::vector<Span2d<Sample>> planes;
   for (auto& pl : work) planes.push_back(pl.view());
   forward53(planes, p.levels);
-  if (stats) stats->dwt_seconds = stage.seconds();
+  if (stats) stats->dwt_seconds += stage.seconds();
   return work;
 }
 
@@ -270,7 +241,7 @@ std::vector<Plane> irreversible_front(const Image& img, const CodingParams& p,
       }
     }
   });
-  if (stats) stats->mct_seconds = stage.seconds();
+  if (stats) stats->mct_seconds += stage.seconds();
 
   stage.reset();
   if constexpr (kFloat) {
@@ -278,7 +249,7 @@ std::vector<Plane> irreversible_front(const Image& img, const CodingParams& p,
   } else {
     forward97_fixed(planes, p.levels);
   }
-  if (stats) stats->dwt_seconds = stage.seconds();
+  if (stats) stats->dwt_seconds += stage.seconds();
 
   stage.reset();
   for (std::size_t c = 0; c < ncomp; ++c) {
@@ -299,7 +270,7 @@ std::vector<Plane> irreversible_front(const Image& img, const CodingParams& p,
     });
     if constexpr (kFloat) fbuf[c] = {};
   }
-  if (stats) stats->quant_seconds = stage.seconds();
+  if (stats) stats->quant_seconds += stage.seconds();
   return q;
 }
 
@@ -352,10 +323,13 @@ TileFront build_front(const Image& img, const CodingParams& params,
   return f;
 }
 
-Tile build_tile(const Image& img, const CodingParams& params,
-                EncodeStats* stats) {
-  validate(img, params);
-  if (stats) stats->samples = img.total_samples();
+namespace {
+
+/// Codes one tile: its front, then Tier-1 over every block.  Adds the
+/// tile's times and counts to `stats`.
+Tile code_tile(const Image& img, const CodingParams& params,
+               EncodeStats* stats) {
+  if (stats) stats->samples += img.total_samples();
   TileFront f = build_front(img, params, stats);
   Timer stage;
   for (std::size_t c = 0; c < f.coeffs.size(); ++c) {
@@ -363,25 +337,37 @@ Tile build_tile(const Image& img, const CodingParams& params,
       t1_over_band(sb, f.coeffs[c].view(), params, stats);
     }
   }
-  if (stats) stats->t1_seconds = stage.seconds();
+  if (stats) stats->t1_seconds += stage.seconds();
   return std::move(f.tile);
 }
 
-std::vector<std::size_t> plan_layer_budgets(const Tile& tile,
+}  // namespace
+
+Tile build_tile(const Image& img, const CodingParams& params,
+                EncodeStats* stats) {
+  validate(img, params);
+  if (stats) *stats = EncodeStats{};
+  return code_tile(img, params, stats);
+}
+
+std::vector<std::size_t> plan_layer_budgets(const std::vector<Tile*>& tiles,
                                             const Image& img,
                                             const CodingParams& params) {
   // Layer budgets: final from the rate target (or "everything" for
-  // lossless), intermediates spaced logarithmically (each layer roughly
-  // doubles the bit budget — the usual quality-progressive spacing).
+  // lossless: every tile's coded bytes, counted once), intermediates spaced
+  // logarithmically (each layer roughly doubles the bit budget — the usual
+  // quality-progressive spacing).
   std::size_t final_budget;
   if (params.rate > 0.0) {
     final_budget = static_cast<std::size_t>(
         params.rate * static_cast<double>(img.raw_bytes()));
   } else {
     std::size_t all = 4096;
-    for (const auto& tc : tile.components) {
-      for (const auto& sb : tc.subbands) {
-        for (const auto& cb : sb.blocks) all += cb.enc.data.size() + 8;
+    for (const Tile* tp : tiles) {
+      for (const auto& tc : tp->components) {
+        for (const auto& sb : tc.subbands) {
+          for (const auto& cb : sb.blocks) all += cb.enc.data.size() + 8;
+        }
       }
     }
     final_budget = 2 * all;  // effectively unbounded
@@ -449,7 +435,7 @@ RateControlStats allocate_rate_across_tiles(
   // target.  Single-tile reserve is 0 (the original arithmetic).
   const std::size_t reserve = tile_framing_reserve(tiles);
   if (params.layers > 1) {
-    auto budgets = plan_layer_budgets_tiles(tiles, img, params);
+    auto budgets = plan_layer_budgets(tiles, img, params);
     for (auto& b : budgets) b = b > reserve ? b - reserve : 0;
     auto rc = rate_control_layered_presorted_tiles(tiles, budgets, segments,
                                                    stats, sizer);
@@ -496,48 +482,13 @@ std::vector<std::uint8_t> frame_codestream(
   return frame_codestream_tiles({&tile}, grid, img, params, {packets});
 }
 
-std::vector<std::uint8_t> finish_tile(Tile& tile, const Image& img,
-                                      const CodingParams& params,
-                                      EncodeStats* stats) {
-  Timer stage;
-
-  // Rate control / layer allocation.
-  if (uses_pcrd_rate_control(params)) {
-    RateControlStats hull_stats;
-    const auto segments =
-        build_sorted_segments(tile, params.wavelet, hull_stats);
-    const auto rc =
-        allocate_rate_across_tiles({&tile}, img, params, segments, hull_stats);
-    if (stats) {
-      stats->rate = rc;
-      stats->rate_seconds = stage.seconds();
-    }
-  } else {
-    for (auto& tc : tile.components) {
-      for (auto& sb : tc.subbands) {
-        for (auto& cb : sb.blocks) cb.include_all();
-      }
-    }
-  }
-
-  stage.reset();
-  const auto packets = t2_encode(tile);
-  auto bytes = frame_codestream(tile, img, params, packets);
-  if (stats) stats->t2_seconds = stage.seconds();
-  return bytes;
-}
-
-std::vector<std::uint8_t> finish_tiles(std::vector<Tile>& tiles,
+std::vector<std::uint8_t> finish_tiles(const std::vector<Tile*>& tiles,
                                        const TileGrid& grid, const Image& img,
                                        const CodingParams& params,
                                        EncodeStats* stats) {
   CJ2K_CHECK_MSG(tiles.size() == grid.num_tiles(),
                  "tile count does not match the grid");
   Timer stage;
-  std::vector<Tile*> ptrs;
-  ptrs.reserve(tiles.size());
-  for (auto& t : tiles) ptrs.push_back(&t);
-
   if (uses_pcrd_rate_control(params)) {
     // Per-tile slope-sorted hull lists (distinct ordinal bases keep the
     // tie-break a strict total order across tiles), k-way merged into the
@@ -546,21 +497,21 @@ std::vector<std::uint8_t> finish_tiles(std::vector<Tile>& tiles,
     std::vector<std::vector<HullSegment>> lists;
     lists.reserve(tiles.size());
     std::uint64_t base = 0;
-    for (auto& t : tiles) {
+    for (Tile* tp : tiles) {
       lists.push_back(
-          build_sorted_segments(t, params.wavelet, hull_stats, base));
-      base += tile_block_count(t);
+          build_sorted_segments(*tp, params.wavelet, hull_stats, base));
+      base += tile_block_count(*tp);
     }
     const auto segments = merge_segment_lists(std::move(lists));
     const auto rc =
-        allocate_rate_across_tiles(ptrs, img, params, segments, hull_stats);
+        allocate_rate_across_tiles(tiles, img, params, segments, hull_stats);
     if (stats) {
       stats->rate = rc;
       stats->rate_seconds = stage.seconds();
     }
   } else {
-    for (auto& t : tiles) {
-      for (auto& tc : t.components) {
+    for (Tile* tp : tiles) {
+      for (auto& tc : tp->components) {
         for (auto& sb : tc.subbands) {
           for (auto& cb : sb.blocks) cb.include_all();
         }
@@ -571,44 +522,40 @@ std::vector<std::uint8_t> finish_tiles(std::vector<Tile>& tiles,
   stage.reset();
   std::vector<std::vector<std::uint8_t>> packets;
   packets.reserve(tiles.size());
-  for (auto& t : tiles) packets.push_back(t2_encode(t));
-  std::vector<const Tile*> cptrs(ptrs.begin(), ptrs.end());
-  auto bytes = frame_codestream_tiles(cptrs, grid, img, params, packets);
+  for (const Tile* tp : tiles) packets.push_back(t2_encode(*tp));
+  auto bytes = frame_codestream_tiles({tiles.begin(), tiles.end()}, grid, img,
+                                      params, packets);
   if (stats) stats->t2_seconds = stage.seconds();
   return bytes;
+}
+
+std::vector<std::uint8_t> finish_tile(Tile& tile, const Image& img,
+                                      const CodingParams& params,
+                                      EncodeStats* stats) {
+  return finish_tiles({&tile}, TileGrid::plan(img.width(), img.height(), 1, 1),
+                      img, params, stats);
 }
 
 std::vector<std::uint8_t> encode(const Image& img, const CodingParams& params,
                                  EncodeStats* stats) {
   Timer total;
   validate(img, params);
+  if (stats) *stats = EncodeStats{};
   const TileGrid grid =
       TileGrid::plan(img.width(), img.height(), params.tiles_x, params.tiles_y);
-  std::vector<std::uint8_t> bytes;
-  if (grid.num_tiles() == 1) {
-    Tile tile = build_tile(img, params, stats);
-    bytes = finish_tile(tile, img, params, stats);
-  } else {
-    // Per-tile fronts (stats accumulate across tiles), then the shared
-    // cross-tile tail.
-    std::vector<Tile> tiles;
-    tiles.reserve(grid.num_tiles());
-    for (std::size_t i = 0; i < grid.num_tiles(); ++i) {
-      const Image timg = extract_tile(img, grid.tile(i));
-      EncodeStats ts;
-      tiles.push_back(build_tile(timg, params, stats ? &ts : nullptr));
-      if (stats) {
-        stats->mct_seconds += ts.mct_seconds;
-        stats->dwt_seconds += ts.dwt_seconds;
-        stats->quant_seconds += ts.quant_seconds;
-        stats->t1_seconds += ts.t1_seconds;
-        stats->t1_symbols += ts.t1_symbols;
-        stats->t1_passes += ts.t1_passes;
-      }
-    }
-    if (stats) stats->samples = img.total_samples();
-    bytes = finish_tiles(tiles, grid, img, params, stats);
+  // Every tile's front and Tier-1 (a tile that covers the image codes `img`
+  // itself, uncopied), then the shared cross-tile tail.
+  std::vector<Tile> tiles;
+  tiles.reserve(grid.num_tiles());
+  for (std::size_t i = 0; i < grid.num_tiles(); ++i) {
+    const TileRect r = grid.tile(i);
+    tiles.push_back(r.w == img.width() && r.h == img.height()
+                        ? code_tile(img, params, stats)
+                        : code_tile(extract_tile(img, r), params, stats));
   }
+  std::vector<Tile*> ptrs;
+  for (Tile& t : tiles) ptrs.push_back(&t);
+  auto bytes = finish_tiles(ptrs, grid, img, params, stats);
   if (stats) stats->total_seconds = total.seconds();
   return bytes;
 }

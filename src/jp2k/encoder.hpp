@@ -39,7 +39,8 @@ std::vector<std::uint8_t> encode(const Image& img, const CodingParams& params,
                                  EncodeStats* stats = nullptr);
 
 /// Builds the encoded Tile (T1 output, before rate control / T2) — exposed
-/// so the Cell pipeline and the tests can share the machinery.
+/// so the Cell pipeline and the tests can share the machinery.  Resets
+/// `*stats`, then fills its front and Tier-1 fields.
 Tile build_tile(const Image& img, const CodingParams& params,
                 EncodeStats* stats = nullptr);
 
@@ -63,34 +64,34 @@ struct TileFront {
 
 /// The front of a one-tile encode on the host pool: level shift + colour
 /// transform straight from `img` and quantization in bands of rows, and
-/// jp2k::forward* on every plane.  Fills the mct/dwt/quant seconds of
+/// jp2k::forward* on every plane.  Adds to the mct/dwt/quant seconds of
 /// `stats`.  build_tile and a Cell encode's memo hit (DESIGN.md §13) both
 /// run it, so they code the same coefficients by construction.
 TileFront build_front(const Image& img, const CodingParams& params,
                       EncodeStats* stats = nullptr);
 
-/// Finishes a Tile into a codestream (rate control + T2 + framing);
-/// `img` supplies geometry/raw-size for the rate budget.
-std::vector<std::uint8_t> finish_tile(Tile& tile, const Image& img,
-                                      const CodingParams& params,
-                                      EncodeStats* stats = nullptr);
-
 /// Finishes a set of built tiles (one per grid rect, index order) into a
-/// multi-tile codestream: cross-tile rate allocation (one λ over the whole
-/// image), per-tile Tier-2, tile-part framing.
-std::vector<std::uint8_t> finish_tiles(std::vector<Tile>& tiles,
+/// codestream: rate allocation (one λ over the whole image), per-tile
+/// Tier-2, tile-part framing.  The one serial back half of every encode.
+std::vector<std::uint8_t> finish_tiles(const std::vector<Tile*>& tiles,
                                        const TileGrid& grid, const Image& img,
                                        const CodingParams& params,
                                        EncodeStats* stats = nullptr);
 
-// The pieces finish_tile composes, exposed so the Cell pipeline's
+/// finish_tiles over the 1×1 grid of `img`.
+std::vector<std::uint8_t> finish_tile(Tile& tile, const Image& img,
+                                      const CodingParams& params,
+                                      EncodeStats* stats = nullptr);
+
+// The pieces finish_tiles composes, exposed so the Cell pipeline's
 // distributed lossy tail (cellenc/stage_rate) reuses exactly the same
 // logic and stays byte-identical to the serial reference.
 
-/// Cumulative per-layer byte budgets for a multi-layer encode: the final
-/// budget from `params.rate` (or "effectively unbounded" when rate <= 0),
-/// intermediates spaced logarithmically.
-std::vector<std::size_t> plan_layer_budgets(const Tile& tile, const Image& img,
+/// Cumulative per-layer byte budgets for a multi-layer encode of a tile
+/// set: the final budget from `params.rate` (or "effectively unbounded"
+/// when rate <= 0), intermediates spaced logarithmically.
+std::vector<std::size_t> plan_layer_budgets(const std::vector<Tile*>& tiles,
+                                            const Image& img,
                                             const CodingParams& params);
 
 /// Lossless multi-layer fixup: the final layer must carry every pass (the
@@ -103,9 +104,9 @@ void force_lossless_final_layer(Tile& tile);
 std::size_t tile_framing_reserve(const std::vector<Tile*>& tiles);
 
 /// Cross-tile rate allocation over the pre-merged global slope order:
-/// layer planning / budget shrink / greedy scan exactly as finish_tile,
-/// generalized to a tile set.  Used by both the serial finish_tiles and
-/// the Cell tile scheduler so their truncation choices are identical.
+/// layer planning, budget shrink, greedy scan.  Used by both the serial
+/// finish_tiles and the Cell tails so their truncation choices are
+/// identical.
 RateControlStats allocate_rate_across_tiles(
     const std::vector<Tile*>& tiles, const Image& img,
     const CodingParams& params, const std::vector<HullSegment>& segments,

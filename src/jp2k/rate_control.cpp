@@ -293,25 +293,12 @@ RateControlStats rate_control_layered_presorted_tiles(
   return stats;
 }
 
-RateControlStats rate_control_presorted(
-    Tile& tile, std::size_t total_budget_bytes,
-    const std::vector<HullSegment>& segments, RateControlStats stats) {
-  return rate_control_presorted_tiles({&tile}, total_budget_bytes, segments,
-                                      std::move(stats));
-}
-
-RateControlStats rate_control_layered_presorted(
-    Tile& tile, const std::vector<std::size_t>& budgets,
-    const std::vector<HullSegment>& segments, RateControlStats stats) {
-  return rate_control_layered_presorted_tiles({&tile}, budgets, segments,
-                                              std::move(stats));
-}
-
 RateControlStats rate_control(Tile& tile, std::size_t total_budget_bytes,
                               WaveletKind kind) {
   RateControlStats stats;
   const auto segments = build_sorted_segments(tile, kind, stats);
-  return rate_control_presorted(tile, total_budget_bytes, segments, stats);
+  return rate_control_presorted_tiles({&tile}, total_budget_bytes, segments,
+                                      stats);
 }
 
 RateControlStats rate_control_layered(Tile& tile,
@@ -319,7 +306,8 @@ RateControlStats rate_control_layered(Tile& tile,
                                       WaveletKind kind) {
   RateControlStats stats;
   const auto segments = build_sorted_segments(tile, kind, stats);
-  return rate_control_layered_presorted(tile, budgets, segments, stats);
+  return rate_control_layered_presorted_tiles({&tile}, budgets, segments,
+                                              stats);
 }
 
 }  // namespace cj2k::jp2k

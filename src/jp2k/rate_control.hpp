@@ -14,9 +14,10 @@
 //                                 finished the block's Tier-1 coding);
 //   2. merge_segment_lists()   — k-way merge of per-worker slope-sorted
 //                                 lists (O(S log K), serial on the PPE);
-//   3. rate_control_presorted()/rate_control_layered_presorted() — the
-//      greedy λ-threshold scan and budget refinement, which MUST stay
-//      serial: every truncation decision depends on the global slope order.
+//   3. rate_control_presorted_tiles()/rate_control_layered_presorted_tiles()
+//      — the greedy λ-threshold scan and budget refinement over a tile set,
+//      which MUST stay serial: every truncation decision depends on the
+//      global slope order.
 // The serial rate_control()/rate_control_layered() wrappers compose the
 // same phases, so both paths select byte-identical truncation points.
 #pragma once
@@ -158,25 +159,13 @@ class IncrementalScan {
 /// model; when empty, the serial per-tile sizing is used.
 using SizingFn = std::function<std::size_t(int iteration)>;
 
-/// Greedy λ-threshold scan + budget refinement over pre-sorted segments.
-/// `stats` carries the hull-building counters accumulated by the caller
-/// (passes_considered / hull_points); the scan fills in the rest.
-RateControlStats rate_control_presorted(Tile& tile,
-                                        std::size_t total_budget_bytes,
-                                        const std::vector<HullSegment>& segments,
-                                        RateControlStats stats = {});
-
-/// Layered variant of rate_control_presorted (see rate_control_layered).
-RateControlStats rate_control_layered_presorted(
-    Tile& tile, const std::vector<std::size_t>& budgets,
-    const std::vector<HullSegment>& segments, RateControlStats stats = {});
-
-// Multi-tile cores: the same greedy scan + refinement over the blocks of
-// several tiles at once, with a single global budget — one λ holds across
-// the whole image (DESIGN.md §7).  `segments` must be the merged slope
-// order over every tile's hulls (distinct ordinal bases per tile).  The
-// single-tile entry points above delegate here with one tile, so both
-// paths stay byte-identical.
+// The greedy λ-threshold scan + budget refinement over pre-sorted segments:
+// one global budget over the blocks of every tile — one λ holds across the
+// whole image (DESIGN.md §7).  `segments` must be the merged slope order
+// over every tile's hulls (distinct ordinal bases per tile).  `stats`
+// carries the hull-building counters accumulated by the caller
+// (passes_considered / hull_points); the scan fills in the rest.  The
+// single-tile entry points below call these with one tile.
 
 RateControlStats rate_control_presorted_tiles(
     const std::vector<Tile*>& tiles, std::size_t total_budget_bytes,

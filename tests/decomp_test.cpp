@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/align.hpp"
+#include "common/error.hpp"
 #include "decomp/chunk.hpp"
 #include "decomp/work_queue.hpp"
 
@@ -172,6 +173,41 @@ TEST(Schedule, ReleasedWithZeroReleasesEqualsPlainVirtual) {
   EXPECT_DOUBLE_EQ(released.makespan, plain.makespan);
   EXPECT_EQ(released.assignment, plain.assignment);
   EXPECT_EQ(released.item_finish, plain.item_finish);
+}
+
+TEST(Schedule, EmptyTailEqualsNoTail) {
+  const std::vector<double> cost{5, 1, 4, 2, 3, 6, 1};
+  const std::vector<double> speed{1.0, 1.5, 0.7};
+  const ItemTail empty;
+  const auto expect_same = [](const Schedule& a, const Schedule& b) {
+    EXPECT_EQ(a.assignment, b.assignment);
+    EXPECT_EQ(a.worker_time, b.worker_time);
+    EXPECT_EQ(a.item_finish, b.item_finish);
+    EXPECT_EQ(a.makespan, b.makespan);
+  };
+  expect_same(schedule_virtual(cost, speed, empty),
+              schedule_virtual(cost, speed));
+  expect_same(schedule_static(cost, speed, empty),
+              schedule_static(cost, speed));
+}
+
+TEST(Schedule, TailRunsOnTheItemsWorkerAtItsOwnSpeed) {
+  // Worker 1 runs tails at half speed.  Queue: item 0 -> w0 (2 + 1 = 3),
+  // item 1 -> w1 (2 + 0), item 2 -> w1, the earlier free (2 + 2 + 3*2).
+  // Round-robin puts item 2 on w0 instead (3 + 2 + 3).
+  const std::vector<double> cost{2, 2, 2};
+  const std::vector<double> speed{1.0, 1.0};
+  const ItemTail tail{{1, 0, 3}, {1.0, 2.0}};
+  const auto q = schedule_virtual(cost, speed, tail);
+  EXPECT_EQ(q.assignment, (std::vector<int>{0, 1, 1}));
+  EXPECT_EQ(q.item_finish, (std::vector<double>{3, 2, 10}));
+  EXPECT_DOUBLE_EQ(q.makespan, 10.0);
+  const auto s = schedule_static(cost, speed, tail);
+  EXPECT_EQ(s.assignment, (std::vector<int>{0, 1, 0}));
+  EXPECT_EQ(s.item_finish, (std::vector<double>{3, 2, 8}));
+  EXPECT_DOUBLE_EQ(s.makespan, 8.0);
+  EXPECT_THROW(schedule_virtual(cost, speed, {{1, 0}, {1.0, 2.0}}), Error);
+  EXPECT_THROW(schedule_static(cost, speed, {{1, 0, 3}, {1.0}}), Error);
 }
 
 TEST(Schedule, ReleasedHandCase) {

@@ -423,25 +423,6 @@ TEST(HtCodec, CapMarkerSignalsPart15) {
   EXPECT_EQ(ehdr.params.block_coder, BlockCoder::kEbcot);
 }
 
-TEST(HtCodec, DecoderRejectsHtStreamWhenHtDisabled) {
-  const Image img = synth::photographic(64, 48, 3, 6);
-  CodingParams ph;
-  ph.levels = 3;
-  ph.block_coder = BlockCoder::kHt;
-  const auto ht = encode(img, ph);
-
-  DecodeOptions no_ht;
-  no_ht.accept_ht = false;
-  EXPECT_THROW(decode(ht, no_ht), CodestreamError);
-
-  // The same options still accept plain EBCOT streams...
-  CodingParams pe;
-  pe.levels = 3;
-  EXPECT_NO_THROW(decode(encode(img, pe), no_ht));
-  // ...and the default options accept the HT stream.
-  EXPECT_NO_THROW(decode(ht));
-}
-
 TEST(HtCodec, ValidateRejectsLayersAndReversibleRate) {
   const Image img = synth::photographic(32, 32, 3, 8);
   CodingParams p;

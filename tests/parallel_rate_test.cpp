@@ -83,7 +83,7 @@ TEST(ParallelRate, PrecinctT2MatchesMonolithicT2) {
       p.progression = prog;
       p.rate = 0.2;
       jp2k::Tile tile = jp2k::build_tile(img, p);
-      const auto budgets = jp2k::plan_layer_budgets(tile, img, p);
+      const auto budgets = jp2k::plan_layer_budgets({&tile}, img, p);
       if (layers > 1) {
         jp2k::rate_control_layered(tile, budgets, p.wavelet);
       } else {
@@ -110,7 +110,7 @@ TEST(ParallelRate, StitchRejectsMalformedPrecinctStreams) {
   p.layers = 2;
   p.rate = 0.2;
   jp2k::Tile tile = jp2k::build_tile(img, p);
-  jp2k::rate_control_layered(tile, jp2k::plan_layer_budgets(tile, img, p),
+  jp2k::rate_control_layered(tile, jp2k::plan_layer_budgets({&tile}, img, p),
                              p.wavelet);
   const auto parts = jp2k::t2_encode_precincts(tile);
   EXPECT_EQ(jp2k::t2_stitch(tile, parts), jp2k::t2_encode(tile));
@@ -133,7 +133,7 @@ TEST(ParallelRate, StitchOrdersPacketsByTheProgression) {
     p.progression = prog;
     p.rate = 0.2;
     jp2k::Tile tile = jp2k::build_tile(img, p);
-    jp2k::rate_control_layered(tile, jp2k::plan_layer_budgets(tile, img, p),
+    jp2k::rate_control_layered(tile, jp2k::plan_layer_budgets({&tile}, img, p),
                                p.wavelet);
     const auto parts = jp2k::t2_encode_precincts(tile, /*parallel=*/true);
 

@@ -139,10 +139,47 @@ TEST(TileCodec, SingleTileGridMatchesPlainEncoderByteForByte) {
   // single-tile codestream exactly — the tile engine is a superset, not a
   // fork, of the original encoder.
   const TileGrid g = TileGrid::plan(img.width(), img.height(), 1, 1);
-  std::vector<Tile> tiles;
-  tiles.push_back(build_tile(img, p));
-  const auto framed = finish_tiles(tiles, g, img, p);
+  Tile tile = build_tile(img, p);
+  const auto framed = finish_tiles({&tile}, g, img, p);
   EXPECT_EQ(framed, plain);
+}
+
+TEST(TileCodec, TiledEncodeStatsSumTheTiles) {
+  // A tiled encode adds up its tiles' front and Tier-1 counts: the same
+  // totals as building each tile on its own.
+  const Image img = synth::photographic(160, 128, 3, 31);
+  CodingParams p;
+  p.levels = 3;
+  p.tiles_x = 2;
+  p.tiles_y = 2;
+  EncodeStats whole;
+  encode(img, p, &whole);
+
+  CodingParams one = p;
+  one.tiles_x = 1;
+  one.tiles_y = 1;
+  const TileGrid g = TileGrid::plan(img.width(), img.height(), 2, 2);
+  ASSERT_EQ(g.num_tiles(), 4u);
+  EncodeStats sum;
+  for (std::size_t i = 0; i < g.num_tiles(); ++i) {
+    EncodeStats ts;
+    build_tile(extract_tile(img, g.tile(i)), one, &ts);
+    sum.samples += ts.samples;
+    sum.t1_symbols += ts.t1_symbols;
+    sum.t1_passes += ts.t1_passes;
+  }
+  EXPECT_EQ(whole.samples, img.total_samples());
+  EXPECT_EQ(whole.samples, sum.samples);
+  EXPECT_EQ(whole.t1_symbols, sum.t1_symbols);
+  EXPECT_EQ(whole.t1_passes, sum.t1_passes);
+  EXPECT_GT(whole.t1_symbols, 0u);
+
+  // Each encode starts the counts afresh.
+  EncodeStats again = whole;
+  encode(img, p, &again);
+  EXPECT_EQ(again.samples, whole.samples);
+  EXPECT_EQ(again.t1_symbols, whole.t1_symbols);
+  EXPECT_EQ(again.t1_passes, whole.t1_passes);
 }
 
 TEST(TileCodec, LossyMultiTileHitsTheGlobalRateBudget) {

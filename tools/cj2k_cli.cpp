@@ -4,12 +4,11 @@
 //   cj2k decode  <in.cj2k> <out.bmp|out.ppm|out.pgm> [--layers N]
 //   cj2k info    <in.cj2k>
 //   cj2k bench   <in.bmp|in.ppm> [--spes N] [--ppes N] [--chips N]
-//                [--lossy] [--rate R] [--tiles CxR] [--block-coder B]
-//                [--trace out.json]
+//                [--trace out.json] [encode options]
 //   cj2k serve-bench <in.bmp|in.ppm> [--jobs N] [--policy P] [--jps R]
 //                [--seed S] [--spes N] [--ppes N] [--chips N]
-//                [--group-spes N] [--no-steal] [--lossy] [--rate R]
-//                [--tiles CxR] [--block-coder B] [--trace out.json]
+//                [--group-spes N] [--no-steal] [--trace out.json]
+//                [encode options]
 //
 // Bench extras:
 //   --trace FILE        write a Chrome trace-event JSON of the simulated run
@@ -25,7 +24,8 @@
 //   --group-spes N      SPEs per lease group (default 8)
 //   --no-steal          disable job-level work stealing
 //
-// Encode options:
+// Encode options (encode, bench and serve-bench take the same set; integer
+// values outside their type's range are refused before any file is read):
 //   --lossy             9/7 irreversible (default: lossless 5/3)
 //   --rate R            target size as a fraction of raw bytes (implies --lossy)
 //   --layers N          quality layers (default 1)
@@ -42,6 +42,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,17 +72,13 @@ int usage() {
                "       cj2k info   <in.cj2k>\n"
                "       cj2k bench  <in.bmp|in.ppm> [--spes N] [--ppes N] "
                "[--chips N]\n"
-               "                   [--lossy] [--rate R] [--tiles CxR] "
-               "[--block-coder ebcot|ht]\n"
-               "                   [--trace out.json]\n"
+               "                   [--trace out.json] [encode options]\n"
                "       cj2k serve-bench <in.bmp|in.ppm> [--jobs N] "
                "[--policy latency|throughput|adaptive]\n"
                "                   [--jps R] [--seed S] [--spes N] [--ppes N] "
                "[--chips N]\n"
-               "                   [--group-spes N] [--no-steal] [--lossy] "
-               "[--rate R]\n"
-               "                   [--tiles CxR] [--block-coder ebcot|ht] "
-               "[--trace out.json]\n");
+               "                   [--group-spes N] [--no-steal] "
+               "[--trace out.json] [encode options]\n");
   return 2;
 }
 
@@ -118,13 +115,69 @@ void write_file(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Fetches the value of --name from args, or fallback.
+/// The value of --name in args, or null when the flag is absent.
+const std::string* opt_value(const std::vector<std::string>& args,
+                             const char* name) {
+  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
+    if (args[i] == name) return &args[i + 1];
+  }
+  return nullptr;
+}
+
+/// Fetches the value of --name from args, or "".
+std::string opt_str(const std::vector<std::string>& args, const char* name) {
+  const std::string* v = opt_value(args, name);
+  return v ? *v : "";
+}
+
+/// Parses `text`, the value of --name, as a number.
+double parse_num(const char* name, const std::string& text) {
+  std::size_t used = 0;
+  double v = 0;
+  try {
+    v = std::stod(text, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size()) {
+    throw InvalidArgument(std::string(name) + " expects a number, got '" +
+                          text + "'");
+  }
+  return v;
+}
+
+/// Parses `text`, the value of --name, as an integer of type T: the one
+/// reader every integer flag goes through, so no value outside T reaches
+/// a cast.
+template <class T>
+T parse_int(const char* name, const std::string& text) {
+  const double v = parse_num(name, text);
+  // T's maximum + 1 is a power of two, exact as a double.
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double past = static_cast<double>(std::numeric_limits<T>::max()) + 1;
+  if (!(v >= lo && v < past) || v != std::trunc(v)) {
+    throw InvalidArgument(std::string(name) + " is out of range: '" + text +
+                          "' is not an integer from " +
+                          std::to_string(std::numeric_limits<T>::min()) +
+                          " to " +
+                          std::to_string(std::numeric_limits<T>::max()));
+  }
+  return static_cast<T>(v);
+}
+
+/// Fetches the value of --name from args as a number, or fallback.
 double opt_num(const std::vector<std::string>& args, const char* name,
                double fallback) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == name) return std::stod(args[i + 1]);
-  }
-  return fallback;
+  const std::string* v = opt_value(args, name);
+  return v ? parse_num(name, *v) : fallback;
+}
+
+/// Fetches the value of --name from args as an integer, or fallback.
+template <class T>
+T opt_int(const std::vector<std::string>& args, const char* name,
+          T fallback) {
+  const std::string* v = opt_value(args, name);
+  return v ? parse_int<T>(name, *v) : fallback;
 }
 
 bool opt_flag(const std::vector<std::string>& args, const char* name) {
@@ -138,57 +191,55 @@ bool opt_flag(const std::vector<std::string>& args, const char* name) {
 /// when the flag is absent.
 void opt_block_coder(const std::vector<std::string>& args,
                      jp2k::CodingParams& p) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] != "--block-coder") continue;
-    const std::string& v = args[i + 1];
-    if (v == "ebcot") {
-      p.block_coder = jp2k::BlockCoder::kEbcot;
-    } else if (v == "ht") {
-      p.block_coder = jp2k::BlockCoder::kHt;
-    } else {
-      throw InvalidArgument("--block-coder expects 'ebcot' or 'ht', got '" +
-                            v + "'");
-    }
-    return;
+  const std::string* v = opt_value(args, "--block-coder");
+  if (!v) return;
+  if (*v == "ebcot") {
+    p.block_coder = jp2k::BlockCoder::kEbcot;
+  } else if (*v == "ht") {
+    p.block_coder = jp2k::BlockCoder::kHt;
+  } else {
+    throw InvalidArgument("--block-coder expects 'ebcot' or 'ht', got '" +
+                          *v + "'");
   }
 }
 
 /// Parses --tiles CxR (e.g. "2x2") into params; leaves the 1x1 default
 /// when the flag is absent.
 void opt_tiles(const std::vector<std::string>& args, jp2k::CodingParams& p) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] != "--tiles") continue;
-    const std::string& v = args[i + 1];
-    const std::size_t x = v.find('x');
-    if (x == std::string::npos || x == 0 || x + 1 >= v.size()) {
-      throw InvalidArgument("--tiles expects CxR, e.g. --tiles 2x2");
-    }
-    p.tiles_x = static_cast<std::size_t>(std::stoul(v.substr(0, x)));
-    p.tiles_y = static_cast<std::size_t>(std::stoul(v.substr(x + 1)));
-    return;
+  const std::string* v = opt_value(args, "--tiles");
+  if (!v) return;
+  const std::size_t x = v->find('x');
+  if (x == std::string::npos || x == 0 || x + 1 >= v->size()) {
+    throw InvalidArgument("--tiles expects CxR, e.g. --tiles 2x2");
   }
+  p.tiles_x = parse_int<std::size_t>("--tiles", v->substr(0, x));
+  p.tiles_y = parse_int<std::size_t>("--tiles", v->substr(x + 1));
 }
 
-int cmd_encode(const std::string& in, const std::string& out,
-               const std::vector<std::string>& args) {
-  const Image img = read_image(in);
-
+/// The coding parameters of the encode options, shared by every encode
+/// command.  jp2k::validate judges the combination at encode time.
+jp2k::CodingParams opt_params(const std::vector<std::string>& args) {
   jp2k::CodingParams p;
   p.rate = opt_num(args, "--rate", 0.0);
   if (p.rate > 0.0 || opt_flag(args, "--lossy")) {
     p.wavelet = jp2k::WaveletKind::kIrreversible97;
   }
-  p.layers = static_cast<int>(opt_num(args, "--layers", 1));
-  p.levels = static_cast<int>(opt_num(args, "--levels", 5));
-  const auto cb = static_cast<std::size_t>(opt_num(args, "--cb", 64));
-  p.cb_width = cb;
-  p.cb_height = cb;
+  p.layers = opt_int(args, "--layers", 1);
+  p.levels = opt_int(args, "--levels", 5);
+  p.cb_width = p.cb_height = opt_int<std::size_t>(args, "--cb", 64);
   p.mct = !opt_flag(args, "--no-mct");
   p.fixed_point_97 = opt_flag(args, "--fixed-point");
   p.t1.reset_contexts = opt_flag(args, "--reset-ctx");
   p.t1.vertically_causal = opt_flag(args, "--vsc");
   opt_block_coder(args, p);
   opt_tiles(args, p);
+  return p;
+}
+
+int cmd_encode(const std::string& in, const std::string& out,
+               const std::vector<std::string>& args) {
+  const jp2k::CodingParams p = opt_params(args);
+  const Image img = read_image(in);
 
   jp2k::EncodeStats stats;
   const auto bytes = jp2k::encode(img, p, &stats);
@@ -206,8 +257,8 @@ int cmd_encode(const std::string& in, const std::string& out,
 
 int cmd_decode(const std::string& in, const std::string& out,
                const std::vector<std::string>& args) {
+  const int layers = opt_int(args, "--layers", 0);
   const auto bytes = read_file(in);
-  const int layers = static_cast<int>(opt_num(args, "--layers", 0));
   const Image img = jp2k::decode(bytes, layers);
   write_image(out, img);
   std::printf("%s: %zux%zu x%zu decoded%s\n", out.c_str(), img.width(),
@@ -256,30 +307,13 @@ int cmd_info(const std::string& in) {
   return 0;
 }
 
-/// Fetches the value of --name from args, or "".
-std::string opt_str(const std::vector<std::string>& args, const char* name) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == name) return args[i + 1];
-  }
-  return "";
-}
-
 int cmd_bench(const std::string& in, const std::vector<std::string>& args) {
-  const Image img = read_image(in);
   cell::MachineConfig cfg;
-  cfg.num_spes = static_cast<int>(opt_num(args, "--spes", 8));
-  cfg.num_ppe_threads = static_cast<int>(opt_num(args, "--ppes", 1));
-  cfg.chips = static_cast<int>(opt_num(args, "--chips", 1));
-
-  jp2k::CodingParams p;
-  p.rate = opt_num(args, "--rate", 0.0);
-  if (p.rate > 0.0 || opt_flag(args, "--lossy")) {
-    p.wavelet = jp2k::WaveletKind::kIrreversible97;
-  }
-  p.layers = static_cast<int>(opt_num(args, "--layers", 1));
-  p.levels = static_cast<int>(opt_num(args, "--levels", 5));
-  opt_block_coder(args, p);
-  opt_tiles(args, p);
+  cfg.num_spes = opt_int(args, "--spes", 8);
+  cfg.num_ppe_threads = opt_int(args, "--ppes", 1);
+  cfg.chips = opt_int(args, "--chips", 1);
+  const jp2k::CodingParams p = opt_params(args);
+  const Image img = read_image(in);
 
   cellenc::PipelineOptions opt;
   const std::string trace_path = opt_str(args, "--trace");
@@ -320,35 +354,25 @@ int cmd_bench(const std::string& in, const std::vector<std::string>& args) {
 
 int cmd_serve_bench(const std::string& in,
                     const std::vector<std::string>& args) {
-  const auto img = std::make_shared<const Image>(read_image(in));
-
   service::ServiceOptions sopt;
-  sopt.machine.num_spes = static_cast<int>(opt_num(args, "--spes", 16));
-  sopt.machine.num_ppe_threads =
-      static_cast<int>(opt_num(args, "--ppes", 2));
-  sopt.machine.chips = static_cast<int>(opt_num(args, "--chips", 2));
-  sopt.group_spes = static_cast<int>(opt_num(args, "--group-spes", 8));
+  sopt.machine.num_spes = opt_int(args, "--spes", 16);
+  sopt.machine.num_ppe_threads = opt_int(args, "--ppes", 2);
+  sopt.machine.chips = opt_int(args, "--chips", 2);
+  sopt.group_spes = opt_int(args, "--group-spes", 8);
   if (opt_flag(args, "--no-steal")) sopt.steal = service::StealMode::kOff;
   const std::string policy = opt_str(args, "--policy");
   if (!policy.empty()) sopt.policy = service::parse_policy(policy);
   const std::string trace_path = opt_str(args, "--trace");
   sopt.trace = !trace_path.empty();
 
-  jp2k::CodingParams p;
-  p.rate = opt_num(args, "--rate", 0.0);
-  if (p.rate > 0.0 || opt_flag(args, "--lossy")) {
-    p.wavelet = jp2k::WaveletKind::kIrreversible97;
-  }
-  p.layers = static_cast<int>(opt_num(args, "--layers", 1));
-  p.levels = static_cast<int>(opt_num(args, "--levels", 5));
-  opt_block_coder(args, p);
-  opt_tiles(args, p);
+  const jp2k::CodingParams p = opt_params(args);
 
-  const auto jobs = static_cast<std::size_t>(opt_num(args, "--jobs", 8));
+  const auto jobs = opt_int<std::size_t>(args, "--jobs", 8);
   const double jps = opt_num(args, "--jps", 16.0);
-  const auto seed = static_cast<std::uint64_t>(opt_num(args, "--seed", 1));
+  const auto seed = opt_int<std::uint64_t>(args, "--seed", 1);
   if (jobs < 1) throw InvalidArgument("--jobs must be at least 1");
   if (jps <= 0) throw InvalidArgument("--jps must be positive");
+  const auto img = std::make_shared<const Image>(read_image(in));
 
   service::EncodeService svc(sopt);
   {
