@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "common/align.hpp"
@@ -17,14 +18,23 @@ class AlignedBuffer {
  public:
   AlignedBuffer() = default;
 
+  /// `count` value-initialized (zeroed) elements.
   explicit AlignedBuffer(std::size_t count,
-                         std::size_t align = kCacheLineBytes)
-      : size_(count), align_(align) {
-    if (count > 0) {
-      data_ = static_cast<T*>(
-          ::operator new(count * sizeof(T), std::align_val_t{align}));
-      for (std::size_t i = 0; i < count; ++i) new (data_ + i) T{};
-    }
+                         std::size_t align = kCacheLineBytes) {
+    allocate(count, align);
+    for (std::size_t i = 0; i < count; ++i) new (data_ + i) T{};
+  }
+
+  /// `count` elements left as the allocator returns them.  The caller must
+  /// write every element before reading it; that first write is then also
+  /// where the pages are faulted in, on whichever thread makes it.
+  static AlignedBuffer for_overwrite(std::size_t count,
+                                     std::size_t align = kCacheLineBytes) {
+    static_assert(std::is_trivially_default_constructible_v<T> &&
+                  std::is_trivially_destructible_v<T>);
+    AlignedBuffer b;
+    b.allocate(count, align);
+    return b;
   }
 
   AlignedBuffer(AlignedBuffer&& o) noexcept
@@ -54,6 +64,15 @@ class AlignedBuffer {
   const T& operator[](std::size_t i) const { return data_[i]; }
 
  private:
+  void allocate(std::size_t count, std::size_t align) {
+    size_ = count;
+    align_ = align;
+    if (count > 0) {
+      data_ = static_cast<T*>(
+          ::operator new(count * sizeof(T), std::align_val_t{align}));
+    }
+  }
+
   void destroy() {
     if (data_) {
       for (std::size_t i = size_; i > 0; --i) data_[i - 1].~T();

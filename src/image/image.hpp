@@ -28,6 +28,12 @@ class Plane {
   Plane(std::size_t width, std::size_t height,
         std::size_t row_align_bytes = kCacheLineBytes);
 
+  /// A plane of the same geometry whose samples and row padding are left
+  /// uninitialized: the caller writes every sample of [0, stride) on every
+  /// row before the plane is read (AlignedBuffer::for_overwrite).
+  static Plane for_overwrite(std::size_t width, std::size_t height,
+                             std::size_t row_align_bytes = kCacheLineBytes);
+
   std::size_t width() const { return width_; }
   std::size_t height() const { return height_; }
   /// Row stride in elements (>= width; width plus padding).
@@ -50,6 +56,10 @@ class Plane {
   std::size_t allocated_size() const { return data_.size(); }
 
  private:
+  /// Checked geometry for a plane: sets width_, height_ and stride_.
+  void set_geometry(std::size_t width, std::size_t height,
+                    std::size_t row_align_bytes);
+
   std::size_t width_ = 0;
   std::size_t height_ = 0;
   std::size_t stride_ = 0;
@@ -66,6 +76,11 @@ class Image {
   /// unsigned samples (value range [0, 2^bit_depth)).
   Image(std::size_t width, std::size_t height, std::size_t components,
         unsigned bit_depth = 8);
+
+  /// The same image with Plane::for_overwrite planes: the caller writes
+  /// every sample and every row's padding before the image is read.
+  static Image for_overwrite(std::size_t width, std::size_t height,
+                             std::size_t components, unsigned bit_depth = 8);
 
   std::size_t width() const { return width_; }
   std::size_t height() const { return height_; }

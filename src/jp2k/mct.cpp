@@ -1,7 +1,6 @@
 #include "jp2k/mct.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace cj2k::jp2k {
 
@@ -39,12 +38,6 @@ void level_unshift_row(Sample* x, std::size_t n, unsigned depth) {
   }
 }
 
-namespace {
-inline Sample round_to_sample(float v) {
-  return static_cast<Sample>(std::lround(v));
-}
-}  // namespace
-
 void ict_forward_row(const Sample* r, const Sample* g, const Sample* b,
                      float* y, float* cb, float* cr, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -58,12 +51,25 @@ void ict_forward_row(const Sample* r, const Sample* g, const Sample* b,
 }
 
 void ict_inverse_row(const float* y, const float* cb, const float* cr,
-                     Sample* r, Sample* g, Sample* b, std::size_t n) {
+                     Sample* r, Sample* g, Sample* b, std::size_t n,
+                     unsigned depth) {
+  const Sample off = Sample{1} << (depth - 1);
+  const float lo = static_cast<float>(-off);
+  const float hi = static_cast<float>(off - 1);
   for (std::size_t i = 0; i < n; ++i) {
     const float yy = y[i], u = cb[i], v = cr[i];
-    r[i] = round_to_sample(yy + 1.402f * v);
-    g[i] = round_to_sample(yy - 0.344136f * u - 0.714136f * v);
-    b[i] = round_to_sample(yy + 1.772f * u);
+    r[i] = round_clamp(yy + 1.402f * v, lo, hi) + off;
+    g[i] = round_clamp(yy - 0.344136f * u - 0.714136f * v, lo, hi) + off;
+    b[i] = round_clamp(yy + 1.772f * u, lo, hi) + off;
+  }
+}
+
+void unshift_float_row(const float* x, Sample* out, std::size_t n,
+                       unsigned depth) {
+  const float off = static_cast<float>(Sample{1} << (depth - 1));
+  const float hi = static_cast<float>((Sample{1} << depth) - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = round_clamp(x[i] + off, 0.0f, hi);
   }
 }
 

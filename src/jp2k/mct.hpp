@@ -29,10 +29,31 @@ void level_unshift_row(Sample* x, std::size_t n, unsigned depth);
 void ict_forward_row(const Sample* r, const Sample* g, const Sample* b,
                      float* y, float* cb, float* cr, std::size_t n);
 
-/// Inverse ICT: float (Y,Cb,Cr) -> integer (R,G,B) rows (rounded,
-/// not yet level-unshifted).
+/// Rounds v to the nearest integer, halves away from zero, saturated to
+/// [lo, hi]: v is clamped before it is converted, so a value past either
+/// bound (an infinity included) gives that bound and NaN gives lo.  For
+/// |v| < 2^31 the result is clamp(lroundf(v), lo, hi).  lo and hi must be
+/// integral and inside [-2^31, 2^31 - 128], the floats a Sample holds.
+inline Sample round_clamp(float v, float lo, float hi) {
+  v = v > lo ? v : lo;  // false for NaN
+  v = v < hi ? v : hi;
+  const Sample t = static_cast<Sample>(v);  // truncates toward zero
+  const float frac = v - static_cast<float>(t);  // exact
+  return t + (frac >= 0.5f) - (frac <= -0.5f);
+}
+
+/// Inverse ICT and inverse level shift: float (Y,Cb,Cr) rows to unsigned
+/// depth-bit (R,G,B) rows.  Each value is rounded (round_clamp) to
+/// [-2^(depth-1), 2^(depth-1)) and then shifted up by 2^(depth-1), so
+/// values outside the sample range saturate and NaN gives 0.
 void ict_inverse_row(const float* y, const float* cb, const float* cr,
-                     Sample* r, Sample* g, Sample* b, std::size_t n);
+                     Sample* r, Sample* g, Sample* b, std::size_t n,
+                     unsigned depth);
+
+/// Inverse level shift of a float row (a component outside the colour
+/// transform): out = round_clamp(x + 2^(depth-1), 0, 2^depth - 1).
+void unshift_float_row(const float* x, Sample* out, std::size_t n,
+                       unsigned depth);
 
 /// Merged level-shift + RCT forward on three rows (the paper's fused
 /// kernel for the lossless path).
@@ -68,7 +89,9 @@ void shift_ict_forward_row_fixed(const Sample* r, const Sample* g,
                                  Sample* cr, std::size_t n, unsigned depth);
 
 /// Inverse fixed-point ICT: Q13 (Y,Cb,Cr) -> integer (R,G,B), rounded,
-/// not yet level-unshifted.
+/// not yet level-unshifted.  Each output depends only on the inputs at its
+/// own index, so the rows may be transformed in place (r == y, g == cb,
+/// b == cr).
 void ict_inverse_row_fixed(const Sample* y, const Sample* cb,
                            const Sample* cr, Sample* r, Sample* g, Sample* b,
                            std::size_t n);
@@ -77,7 +100,7 @@ void ict_inverse_row_fixed(const Sample* y, const Sample* cb,
 void shift_to_fixed_row(const Sample* x, Sample* out, std::size_t n,
                         unsigned depth);
 
-/// Q13 -> integer sample with rounding.
+/// Q13 -> integer sample with rounding (in may equal out).
 void fixed_to_int_row(const Sample* in, Sample* out, std::size_t n);
 
 }  // namespace cj2k::jp2k

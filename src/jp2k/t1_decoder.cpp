@@ -1,5 +1,6 @@
 #include "jp2k/t1_decoder.hpp"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/error.hpp"
@@ -27,10 +28,12 @@ class BlockDecoder {
         mq_(data, size) {}
 
   void run() {
-    for (std::size_t y = 0; y < h_; ++y) {
-      for (std::size_t x = 0; x < w_; ++x) out_(y, x) = 0;
+    if (num_planes_ == 0 || num_passes_ == 0) {
+      for (std::size_t y = 0; y < h_; ++y) {
+        std::fill(out_.row(y), out_.row(y) + w_, Sample{0});
+      }
+      return;
     }
-    if (num_planes_ == 0 || num_passes_ == 0) return;
 
     int remaining = num_passes_;
     int final_plane = num_planes_ - 1;
@@ -54,20 +57,36 @@ class BlockDecoder {
     const bool partial =
         final_plane > 0 || remaining > 0 ||
         num_passes_ < 1 + 3 * (num_planes_ - 1);
-    for (std::size_t y = 0; y < h_; ++y) {
+    reconstruct(partial && final_plane > 0 ? (1u << final_plane) >> 1 : 0);
+  }
+
+ private:
+  /// Writes every sample of the block: its magnitude, plus `half` when
+  /// nonzero, negated when its sign flag is set.  Walks the stripe columns,
+  /// one flag word for up to four samples.
+  void reconstruct(std::uint32_t half) {
+    for (std::size_t s = 0; s < flags_.stripes(); ++s) {
+      const unsigned lanes = flags_.lanes(s);
+      const std::uint64_t* col = flags_.column(s, 0);
+      const std::uint32_t* mag = &mag_[s * kStripeHeight * w_];
+      Sample* rows[kStripeHeight];
+      for (unsigned j = 0; j < lanes; ++j) {
+        rows[j] = out_.row(s * kStripeHeight + j);
+      }
       for (std::size_t x = 0; x < w_; ++x) {
-        std::uint32_t m = mag_[y * w_ + x];
-        if (m != 0 && partial && final_plane > 0) {
-          m += (1u << final_plane) >> 1;
+        const std::uint64_t word = col[x];
+        for (unsigned j = 0; j < lanes; ++j) {
+          const std::uint32_t m = mag[j * w_ + x];
+          const std::uint32_t v = m + (m != 0 ? half : 0);
+          const std::uint32_t neg =
+              0u - static_cast<std::uint32_t>(
+                       ((word >> (16 * j)) & kFlagSign) != 0);
+          rows[j][x] = static_cast<Sample>((v ^ neg) - neg);
         }
-        Sample v = static_cast<Sample>(m);
-        if (flags_.at(y, x) & kFlagSign) v = -v;
-        out_(y, x) = v;
       }
     }
   }
 
- private:
   // Each pass decodes through a local copy of the MQ decoder (its register
   // discipline) and mirrors the encoder's lane-set walk exactly.
 

@@ -1,7 +1,10 @@
 // Level shift, RCT/ICT and quantizer tests.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -86,12 +89,67 @@ TEST(Ict, RoundtripWithinOneCodeValue) {
   ict_forward_row(r.data(), g.data(), b.data(), y.data(), cb.data(),
                   cr.data(), n);
   ict_inverse_row(y.data(), cb.data(), cr.data(), r2.data(), g2.data(),
-                  b2.data(), n);
+                  b2.data(), n, 8);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(r2[i], r[i], 1);
-    EXPECT_NEAR(g2[i], g[i], 1);
-    EXPECT_NEAR(b2[i], b[i], 1);
+    EXPECT_NEAR(r2[i] - 128, r[i], 1);
+    EXPECT_NEAR(g2[i] - 128, g[i], 1);
+    EXPECT_NEAR(b2[i] - 128, b[i], 1);
   }
+}
+
+// The floats a Sample holds: round_clamp's widest legal bounds.
+constexpr float kSampleLo = -0x1p31f;
+constexpr float kSampleHi = 0x1p31f - 128;
+
+TEST(Ict, RoundClampMatchesLroundInRange) {
+  const auto expect_lround = [](float v) {
+    EXPECT_EQ(round_clamp(v, kSampleLo, kSampleHi), std::lround(v)) << v;
+  };
+  // Exact halves round away from zero; the largest float below one half
+  // rounds to zero (floor(v + 0.5) would give 1).
+  for (const float v : {0.5f, -0.5f, 1.5f, -1.5f, 2.5f, -2.5f, 0.49999997f,
+                        -0.49999997f, 0.0f, -0.0f, 8388607.5f, -8388607.5f,
+                        kSampleHi, kSampleLo}) {
+    expect_lround(v);
+  }
+  // Random values over every magnitude below 2^31.
+  Rng rng(0x40d);
+  for (int i = 0; i < 100000; ++i) {
+    const double mag = std::ldexp(rng.next_double(),
+                                  static_cast<int>(rng.next_below(32)));
+    const auto v = static_cast<float>(rng.next_below(2) ? mag : -mag);
+    if (std::fabs(v) < 0x1p31f) expect_lround(v);
+  }
+}
+
+TEST(Ict, RoundClampSaturatesOutOfRange) {
+  // Past the range a value saturates to the nearer bound and NaN gives the
+  // lower one; a Sample cast of lroundf would wrap or be unspecified here.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(round_clamp(3e9f, kSampleLo, kSampleHi),
+            static_cast<Sample>(kSampleHi));
+  EXPECT_EQ(round_clamp(-3e9f, kSampleLo, kSampleHi),
+            std::numeric_limits<Sample>::min());
+  EXPECT_EQ(round_clamp(inf, kSampleLo, kSampleHi),
+            static_cast<Sample>(kSampleHi));
+  EXPECT_EQ(round_clamp(-inf, kSampleLo, kSampleHi),
+            std::numeric_limits<Sample>::min());
+  EXPECT_EQ(round_clamp(nan, kSampleLo, kSampleHi),
+            std::numeric_limits<Sample>::min());
+  // Through the decoder's two float exits, 8-bit samples: 3e9 and inf give
+  // 255, -3e9, -inf and NaN give 0.
+  const std::vector<float> v{3e9f, -3e9f, inf, -inf, nan, 127.4f, -128.6f};
+  const std::vector<Sample> want{255, 0, 255, 0, 0, 255, 0};
+  const std::vector<float> zero(v.size(), 0.0f);
+  std::vector<Sample> r(v.size()), g(v.size()), b(v.size()), u(v.size());
+  ict_inverse_row(v.data(), zero.data(), zero.data(), r.data(), g.data(),
+                  b.data(), v.size(), 8);
+  EXPECT_EQ(r, want);
+  EXPECT_EQ(g, want);
+  EXPECT_EQ(b, want);
+  unshift_float_row(v.data(), u.data(), v.size(), 8);
+  EXPECT_EQ(u, want);
 }
 
 TEST(Ict, GreyMapsToZeroChroma) {
@@ -144,6 +202,32 @@ TEST(Quant, DequantErrorBoundedByStep) {
     // Sign preservation.
     if (q[i] != 0) {
       EXPECT_EQ(out[i] < 0, in[i] < 0);
+    }
+  }
+}
+
+TEST(Quant, DequantizeMatchesSignedMidpointBitForBit) {
+  // The branch-free row against the textbook form: 0 stays +0, q > 0
+  // gives (q + 0.5) * s and q < 0 gives (q - 0.5) * s, bit for bit.
+  Rng rng(0xde9);
+  std::vector<Sample> q{0, 1, -1, std::numeric_limits<Sample>::max(),
+                        std::numeric_limits<Sample>::min()};
+  for (int i = 0; i < 20000; ++i) {
+    const Sample m = static_cast<Sample>(
+        rng.next_below(std::uint64_t{1} << rng.next_below(32)));
+    q.push_back(rng.next_below(2) ? m : -m);
+  }
+  for (const double step : {1.0, 0.37, 1.0 / 4096, 1e-30, 3e38}) {
+    std::vector<float> out(q.size());
+    dequantize_row(q.data(), out.data(), q.size(), step);
+    const auto s = static_cast<float>(step);
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      const float want = q[i] == 0  ? 0.0f
+                         : q[i] > 0 ? (static_cast<float>(q[i]) + 0.5f) * s
+                                    : (static_cast<float>(q[i]) - 0.5f) * s;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                std::bit_cast<std::uint32_t>(want))
+          << q[i] << " at step " << step;
     }
   }
 }
