@@ -251,6 +251,30 @@ TEST(LossyFixed, FixedAndFloatAgreeClosely) {
   EXPECT_NE(encode(img, pf), encode(img, px));  // genuinely different math
 }
 
+TEST(LossyFixed, EveryPassKeptTracksFloatAtEveryLevelCount) {
+  // With every pass kept, Q13 and float decode the same indices up to the
+  // two quantizers' boundary rounding: their PSNRs against the source stay
+  // within 0.1 dB, and at the default base step, where the float path is
+  // exact, Q13 is exact too.  The dequantizer carries each band step at 44
+  // fraction bits; at 14, the 7-level LL step (~2^-12) was 9% off and the
+  // default-step decode lost over 30 dB.
+  const Image img = synth::photographic(256, 224, 3, 37);
+  for (const double base : {1.0 / 16, 1.0}) {
+    for (int levels = 3; levels <= 7; ++levels) {
+      CodingParams pf;
+      pf.wavelet = WaveletKind::kIrreversible97;
+      pf.levels = levels;
+      pf.base_quant_step = base;
+      CodingParams px = pf;
+      px.fixed_point_97 = true;
+      const double psnr_f = metrics::psnr(img, decode(encode(img, pf)));
+      const double psnr_x = metrics::psnr(img, decode(encode(img, px)));
+      EXPECT_GE(psnr_x, psnr_f - 0.1)
+          << levels << " levels, base step " << base;
+    }
+  }
+}
+
 TEST(LossyFixed, RateControlWorksInFixedPoint) {
   const Image img = synth::photographic(256, 256, 1, 31);
   CodingParams p;
