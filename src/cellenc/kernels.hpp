@@ -269,17 +269,18 @@ void simd_quant_row(V& s, const float* in, Sample* out, std::size_t n,
 template <class V, typename T>
 void simd_deinterleave_row(V& s, const T* in, T* even, T* odd,
                            std::size_t n) {
-  std::size_t i = 0;
   // 8 interleaved elements -> one even + one odd quad word.
-  for (; i + 8 <= n; i += 8) {
+  const std::size_t vec_end = n - n % 8;
+  for (std::size_t i = 0; i < vec_end; i += 8) {
     const auto a = s.load(in + i);
     const auto b = s.load(in + i + 4);
     s.store(even + i / 2, s.even_lanes(a, b));
     s.store(odd + i / 2, s.odd_lanes(a, b));
     s.scalar_ops(1);
   }
-  for (; i < n; ++i) {
-    (i % 2 == 0 ? even : odd)[i / 2] = in[i];
+  for (std::size_t i = vec_end; i < n; ++i) {
+    T* const half = i % 2 == 0 ? even : odd;
+    half[i / 2] = in[i];
     s.scalar_ops(3);
   }
 }

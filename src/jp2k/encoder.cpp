@@ -475,13 +475,6 @@ std::vector<std::uint8_t> frame_codestream_tiles(
   return write_codestream(hdr, parts);
 }
 
-std::vector<std::uint8_t> frame_codestream(
-    const Tile& tile, const Image& img, const CodingParams& params,
-    const std::vector<std::uint8_t>& packets) {
-  const TileGrid grid = TileGrid::plan(img.width(), img.height(), 1, 1);
-  return frame_codestream_tiles({&tile}, grid, img, params, {packets});
-}
-
 std::vector<std::uint8_t> finish_tiles(const std::vector<Tile*>& tiles,
                                        const TileGrid& grid, const Image& img,
                                        const CodingParams& params,

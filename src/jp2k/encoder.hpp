@@ -112,14 +112,9 @@ RateControlStats allocate_rate_across_tiles(
     const CodingParams& params, const std::vector<HullSegment>& segments,
     RateControlStats stats = {}, const SizingFn& sizer = {});
 
-/// Wraps a finished packet stream in the codestream framing (SIZ/COD/QCD
-/// main header, tile header, EOC).
-std::vector<std::uint8_t> frame_codestream(
-    const Tile& tile, const Image& img, const CodingParams& params,
-    const std::vector<std::uint8_t>& packets);
-
-/// Multi-tile framing: one tile-part per tile (index order), the grid's
-/// nominal tile size in SIZ.
+/// Wraps finished packet streams in the codestream framing: the SIZ/COD/QCD
+/// main header, one tile-part per tile (index order; a single tile is the
+/// 1×1 grid), EOC.  SIZ carries the grid's nominal tile size.
 std::vector<std::uint8_t> frame_codestream_tiles(
     const std::vector<const Tile*>& tiles, const TileGrid& grid,
     const Image& img, const CodingParams& params,

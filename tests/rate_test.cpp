@@ -6,9 +6,18 @@
 #include "jp2k/encoder.hpp"
 #include "jp2k/rate_control.hpp"
 #include "jp2k/t2_encoder.hpp"
+#include "jp2k/tile_grid.hpp"
 
 namespace cj2k::jp2k {
 namespace {
+
+/// The codestream of one rate-controlled tile covering the whole image.
+std::vector<std::uint8_t> frame_whole(const Tile& tile, const Image& img,
+                                      const CodingParams& p) {
+  return frame_codestream_tiles(
+      {&tile}, TileGrid::plan(img.width(), img.height(), 1, 1), img, p,
+      {t2_encode(tile)});
+}
 
 Tile encoded_tile(std::size_t w, std::size_t h) {
   const Image img = synth::photographic(w, h, 1, 17);
@@ -99,7 +108,7 @@ TEST(RateControl, ZeroBudgetStreamStillDecodes) {
   rate_control(tile, 0, WaveletKind::kIrreversible97);
   // Everything truncated to nothing — T2 must still emit well-formed
   // (empty-body) packets and the result must decode.
-  const auto bytes = frame_codestream(tile, img, p, t2_encode(tile));
+  const auto bytes = frame_whole(tile, img, p);
   const Image out = decode(bytes);
   EXPECT_EQ(out.width(), img.width());
   EXPECT_EQ(out.height(), img.height());
@@ -144,7 +153,7 @@ TEST(RateControl, BlocksWithZeroPassesAreHandled) {
 
   const auto rc = rate_control(tile, 4000, WaveletKind::kIrreversible97);
   EXPECT_LE(rc.selected_bytes, 4000u);
-  const auto bytes = frame_codestream(tile, img, p, t2_encode(tile));
+  const auto bytes = frame_whole(tile, img, p);
   const Image out = decode(bytes);
   EXPECT_EQ(out.width(), img.width());
 }
@@ -164,7 +173,7 @@ TEST(RateControl, LayeredDuplicateBudgetsTerminate) {
   const auto rc = rate_control_layered(tile, budgets,
                                        WaveletKind::kIrreversible97);
   EXPECT_LE(rc.selected_bytes, budgets.back());
-  const auto bytes = frame_codestream(tile, img, p, t2_encode(tile));
+  const auto bytes = frame_whole(tile, img, p);
   for (int l = 0; l <= 3; ++l) {
     const Image out = decode(bytes, l);
     EXPECT_EQ(out.width(), img.width()) << "layers=" << l;
@@ -174,7 +183,7 @@ TEST(RateControl, LayeredDuplicateBudgetsTerminate) {
   Tile tile2 = build_tile(img, p);
   rate_control_layered(tile2, {4000, 4000, 4000},
                        WaveletKind::kIrreversible97);
-  const auto bytes2 = frame_codestream(tile2, img, p, t2_encode(tile2));
+  const auto bytes2 = frame_whole(tile2, img, p);
   EXPECT_EQ(decode(bytes2).width(), img.width());
 }
 

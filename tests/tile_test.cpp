@@ -135,11 +135,11 @@ TEST(TileCodec, SingleTileGridMatchesPlainEncoderByteForByte) {
   p.levels = 3;
   const auto plain = encode(img, p);
 
-  // Finishing one built tile through the multi-tile path must reproduce the
-  // single-tile codestream exactly — the tile engine is a superset, not a
-  // fork, of the original encoder.
+  // encode codes a tile that covers the image from the image itself,
+  // uncopied; a tile built from an extract_tile copy of the one rectangle
+  // and finished on the 1×1 grid must give the same bytes.
   const TileGrid g = TileGrid::plan(img.width(), img.height(), 1, 1);
-  Tile tile = build_tile(img, p);
+  Tile tile = build_tile(extract_tile(img, g.tile(0)), p);
   const auto framed = finish_tiles({&tile}, g, img, p);
   EXPECT_EQ(framed, plain);
 }
