@@ -20,22 +20,22 @@ namespace cj2k::jp2k {
 
 namespace {
 
-/// Whether every stream an integer-path encode (5/3, or Q13 9/7) of a w×h
-/// tile could emit passes the decoder's overflow gate (inverse_fits).  Each
-/// band gets the most bit planes the encode can give it: its analysis
-/// weights along the rows and the columns times the largest input the
-/// colour transform leaves, plus the forward transform's rounding (the 1%
-/// covers the filters' and the Q13 constants' rounding, the additive
-/// terms the lifting steps'), divided by its step.
-bool every_stream_fits(const CodingParams& p, std::size_t w, std::size_t h,
-                       unsigned depth, bool color) {
+/// The skeleton of a w×h tile component with each band's band_numbps set
+/// to the most bit planes an encode could give it: its analysis weights
+/// along the rows and the columns times the largest input the colour
+/// transform leaves, plus the forward transform's rounding on the integer
+/// paths (the 1% covers the filters', the Q13 constants' and float
+/// rounding, the additive terms the lifting steps'), divided by its step.
+TileComponent worst_case_planes(const CodingParams& p, std::size_t w,
+                                std::size_t h, unsigned depth, bool color) {
   const bool rev = p.wavelet == WaveletKind::kReversible53;
+  const int q13 = !rev && p.fixed_point_97 ? 13 : 0;
   // Level shift (+ RCT, whose chroma reaches twice the range), in Q13 on
   // the fixed-point path (the ICT's rows sum to at most 1).
   const double input =
       rev ? std::ldexp(1.0, static_cast<int>(depth) - (color ? 0 : 1))
-          : std::ldexp(1.0, static_cast<int>(depth) - 1 + 13);
-  const double rounding = rev ? 4.0 * p.levels : 0x1p12;
+          : std::ldexp(1.0, static_cast<int>(depth) - 1 + q13);
+  const double rounding = rev ? 4.0 * p.levels : q13 ? 0x1p12 : 0.0;
   const int eh = transform_levels(w, p.levels);
   const int ev = transform_levels(h, p.levels);
   TileComponent tc = make_component_skeleton(w, h, p);
@@ -50,19 +50,16 @@ bool every_stream_fits(const CodingParams& p, std::size_t w, std::size_t h,
             norm(o == SubbandOrient::LH || o == SubbandOrient::HH, ev) *
             input * 1.01 +
         rounding;
-    const double q = rev ? coef : coef / (sb.quant_step * 8192);
+    const double q = rev ? coef : coef / std::ldexp(sb.quant_step, q13);
     sb.band_numbps = q < 1 ? 0 : std::ilogb(q) + 1;
   }
-  return inverse_fits(tc, p.wavelet, w, h, p.levels);
+  return tc;
 }
 
 }  // namespace
 
 void validate(const Image& img, const CodingParams& p) {
   CJ2K_CHECK_MSG(img.components() >= 1, "image has no components");
-  if (p.mct && img.components() >= 3) {
-    // RCT/ICT applies to the first three components.
-  }
   if (p.levels < 0 || p.levels > 32) {
     throw InvalidArgument("decomposition levels out of range");
   }
@@ -84,22 +81,39 @@ void validate(const Image& img, const CodingParams& p) {
       img.bit_depth() > 8) {
     throw InvalidArgument("fixed-point 9/7 needs samples of at most 8 bits");
   }
-  // Refuse up front any tile some encode could overflow the decoder's
-  // integer inverse with (a base step too large for Q13, say).  The tile
-  // grid has at most four distinct tile shapes: its corners'.
-  if (p.wavelet == WaveletKind::kReversible53 || p.fixed_point_97) {
-    const TileGrid grid =
-        TileGrid::plan(img.width(), img.height(), p.tiles_x, p.tiles_y);
-    const bool color = p.mct && img.components() >= 3;
-    for (const std::size_t tx : {std::size_t{0}, grid.cols() - 1}) {
-      for (const std::size_t ty : {std::size_t{0}, grid.rows() - 1}) {
-        const TileRect r = grid.tile_at(tx, ty);
-        if (!every_stream_fits(p, r.w, r.h, img.bit_depth(), color)) {
-          throw InvalidArgument(
-              "coefficient magnitudes could exceed the integer inverse "
-              "transform at this quantizer step, sample depth and level "
-              "count");
+  const double step = effective_base_quant_step(p);
+  if (!std::isfinite(step) || !(step > 0)) {
+    throw InvalidArgument("quantizer step must be positive and finite");
+  }
+  // Refuse up front any tile some encode could overflow with: on the float
+  // 9/7 path (EBCOT or HT), a quantization index of 2^31 or more, past the
+  // 31 magnitude bit planes either block coder codes (a base step too
+  // small); on the integer paths, the decoder's integer inverse (a base
+  // step too large for Q13, say).  The tile grid has at most four distinct
+  // tile shapes: its corners'.
+  const TileGrid grid =
+      TileGrid::plan(img.width(), img.height(), p.tiles_x, p.tiles_y);
+  const bool color = p.mct && img.components() >= 3;
+  const bool integer = p.wavelet == WaveletKind::kReversible53 ||
+                       p.fixed_point_97;
+  for (const std::size_t tx : {std::size_t{0}, grid.cols() - 1}) {
+    for (const std::size_t ty : {std::size_t{0}, grid.rows() - 1}) {
+      const TileRect r = grid.tile_at(tx, ty);
+      const TileComponent tc =
+          worst_case_planes(p, r.w, r.h, img.bit_depth(), color);
+      if (!integer) {
+        for (const Subband& sb : tc.subbands) {
+          if (sb.band_numbps > 31) {
+            throw InvalidArgument(
+                "quantization indices could exceed 31 magnitude bit planes "
+                "at this quantizer step, sample depth and level count");
+          }
         }
+      } else if (!inverse_fits(tc, p.wavelet, r.w, r.h, p.levels)) {
+        throw InvalidArgument(
+            "coefficient magnitudes could exceed the integer inverse "
+            "transform at this quantizer step, sample depth and level "
+            "count");
       }
     }
   }

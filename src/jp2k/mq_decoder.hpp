@@ -66,6 +66,12 @@ class MqDecoder {
     return d;
   }
 
+  /// The Tier-1 walk's coder call (jp2k/t1_walk.hpp): decodes a decision
+  /// in context `cx`; `d`, the bit an encoder would code, is ignored.
+  [[gnu::always_inline]] int code(MqContext& cx, int /*d*/) {
+    return decode(cx);
+  }
+
  private:
   /// BYTEIN (Annex C, Figure C.17).
   [[gnu::always_inline]] void bytein() {

@@ -47,6 +47,13 @@ class MqEncoder {
     renorm();
   }
 
+  /// The Tier-1 walk's coder call (jp2k/t1_walk.hpp): encodes `d` in
+  /// context `cx` and returns it.
+  [[gnu::always_inline]] int code(MqContext& cx, int d) {
+    encode(cx, d);
+    return d;
+  }
+
   /// Terminates the codeword (Annex C FLUSH) so the emitted bytes decode
   /// unambiguously, and leaves exactly it in the output vector.  Must be called
   /// exactly once, after the last encode(); only decisions() stays

@@ -1,6 +1,7 @@
 #include "jp2k/t1_common.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -113,14 +114,19 @@ std::uint32_t block_prescan(Span2d<const Sample> coeffs, std::uint32_t* mag,
   std::uint32_t maxmag = 0;
   for (std::size_t y = 0; y < coeffs.height(); ++y) {
     const Sample* row = coeffs.row(y);
+    const std::size_t lane = y % kStripeHeight;
     std::uint64_t* col = mag ? flags->column(y / kStripeHeight, 0) : nullptr;
-    const std::uint64_t sign =
-        std::uint64_t{kFlagSign} << (16 * (y % kStripeHeight));
+    std::uint32_t* out = mag ? mag + (y - lane) * w + lane : nullptr;
+    // The sign bit moved to kFlagSign of the sample's lane, without a
+    // branch: random signs mispredict one (~5% of a lossless block encode).
+    const unsigned sign_shift =
+        16 * static_cast<unsigned>(lane) + std::countr_zero(kFlagSign);
     for (std::size_t x = 0; x < w; ++x) {
       const auto m = static_cast<std::uint32_t>(std::abs(row[x]));
       if (mag) {
-        mag[y * w + x] = m;
-        if (row[x] < 0) col[x] |= sign;
+        out[x * kStripeHeight] = m;
+        col[x] |= std::uint64_t{static_cast<std::uint32_t>(row[x]) >> 31}
+                  << sign_shift;
       }
       maxmag = std::max(maxmag, m);
     }

@@ -132,8 +132,8 @@ inline constexpr std::uint16_t kFlagSign = 1 << 15;     ///< Negative.
 /// Magnitude-refinement context (Annex D) of a lane's flags:
 /// MR+2 once refined, else MR+1 with a significant neighbour, MR without.
 inline int mr_context(std::uint32_t lane) {
-  constexpr std::uint8_t kCtx[4] = {kCtxMrBase, kCtxMrBase + 1,
-                                    kCtxMrBase + 2, kCtxMrBase + 2};
+  static constexpr std::uint8_t kCtx[4] = {kCtxMrBase, kCtxMrBase + 1,
+                                           kCtxMrBase + 2, kCtxMrBase + 2};
   return kCtx[((lane & kFlagRefined) >> 13) | ((lane & kNbMask) != 0)];
 }
 
@@ -289,10 +289,11 @@ struct T1Tables {
 const T1Tables& t1_tables();
 
 /// Block prescan shared by both block coders: returns max |coeff| (which
-/// fixes the coded bit-plane count).  With `mag`, also stores
-/// mag[y*width+x] = |coeffs(y,x)| and sets kFlagSign in `flags` for every
-/// negative sample (the EBCOT coder's magnitude/sign planes); `flags` must
-/// be fresh.
+/// fixes the coded bit-plane count).  With `mag`, also stores |coeffs(y,x)|
+/// in stripe-column order, at mag[(y / 4 * width + x) * 4 + y % 4], and
+/// sets kFlagSign in `flags` for every negative sample (the EBCOT coder's
+/// magnitude/sign planes); `mag` holds flags->stripes() * 4 * width
+/// entries, and `flags` must be fresh.
 std::uint32_t block_prescan(Span2d<const Sample> coeffs,
                             std::uint32_t* mag = nullptr,
                             T1Flags* flags = nullptr);

@@ -1,6 +1,6 @@
-// Tier-1 EBCOT block decoder: exact mirror of the encoder's context
-// modeling, driving the MQ decoder.  Supports truncated codewords (the MQ
-// decoder synthesizes 1-bits past the end of data, per the standard).
+// Tier-1 EBCOT block decoder: the encoder's pass walk (jp2k/t1_walk.hpp)
+// driving the MQ decoder.  Supports truncated codewords (the MQ decoder
+// synthesizes 1-bits past the end of data, per the standard).
 #pragma once
 
 #include <cstdint>

@@ -488,8 +488,11 @@ TEST(BlockPrescan, MagSignAndMaxMatchScalarReference) {
     fill_samples(rng, coeffs.data(), w * h, 1 << 16);
     Span2d<const Sample> view(coeffs.data(), w, h, w);
 
+    // Magnitudes land in stripe-column order; a partial last stripe's
+    // padding lanes are left alone.
     jp2k::T1Flags flags(w, h);
-    std::vector<std::uint32_t> mag(w * h, 0xDEADBEEF);
+    const std::size_t stripe = jp2k::kStripeHeight;
+    std::vector<std::uint32_t> mag(flags.stripes() * stripe * w, 0xDEADBEEF);
     const std::uint32_t maxmag =
         jp2k::block_prescan(view, mag.data(), &flags);
 
@@ -500,11 +503,19 @@ TEST(BlockPrescan, MagSignAndMaxMatchScalarReference) {
         const std::uint32_t m =
             static_cast<std::uint32_t>(v < 0 ? -static_cast<std::int64_t>(v)
                                              : v);
-        EXPECT_EQ(mag[y * w + x], m) << w << "x" << h;
+        EXPECT_EQ(mag[(y / stripe * w + x) * stripe + y % stripe], m)
+            << w << "x" << h;
         EXPECT_EQ(flags.at(y, x) & jp2k::kFlagSign,
                   v < 0 ? jp2k::kFlagSign : 0)
             << w << "x" << h;
         if (m > ref_max) ref_max = m;
+      }
+    }
+    for (std::size_t y = h; y < flags.stripes() * stripe; ++y) {
+      for (std::size_t x = 0; x < w; ++x) {
+        EXPECT_EQ(mag[(y / stripe * w + x) * stripe + y % stripe],
+                  0xDEADBEEF)
+            << w << "x" << h;
       }
     }
     EXPECT_EQ(maxmag, ref_max) << w << "x" << h;
@@ -516,7 +527,7 @@ TEST(BlockPrescan, MagSignAndMaxMatchScalarReference) {
   std::memset(zeros.data(), 0, 12 * 9 * sizeof(Sample));
   Span2d<const Sample> zview(zeros.data(), 12, 9, 12);
   jp2k::T1Flags zflags(12, 9);
-  std::vector<std::uint32_t> zmag(12 * 9);
+  std::vector<std::uint32_t> zmag(zflags.stripes() * jp2k::kStripeHeight * 12);
   EXPECT_EQ(jp2k::block_prescan(zview, zmag.data(), &zflags), 0u);
   EXPECT_EQ(jp2k::block_prescan(zview), 0u);
 }

@@ -533,5 +533,66 @@ TEST(MqDifferential, DecoderMatchesReferenceOnFullTruncatedAndMarkerTails) {
   }
 }
 
+// --- The Tier-1 walk's coder contract ----------------------------------------
+//
+// jp2k/t1_walk.hpp codes every decision as `bit = coder.code(cx, d)`: the
+// encoder must code `d` exactly as encode() does and hand it back, and the
+// decoder must return the decoded bit whatever `d` says.
+
+TEST(MqCoderContract, EncoderCodeReturnsItsBitAndEmitsEncodesBytes) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const MqStream s = mq_stream(seed);
+    std::vector<std::uint8_t> coded;
+    std::vector<std::uint8_t> encoded;
+    MqEncoder by_code(coded);
+    MqEncoder by_encode(encoded);
+    T1ContextBank code_ctx;
+    T1ContextBank encode_ctx;
+    for (std::size_t i = 0; i < s.bits.size(); ++i) {
+      ASSERT_EQ(by_code.code(code_ctx[s.which[i]], s.bits[i]), s.bits[i])
+          << "seed " << seed << " symbol " << i;
+      by_encode.encode(encode_ctx[s.which[i]], s.bits[i]);
+      ASSERT_EQ(by_code.truncation_length(), by_encode.truncation_length());
+    }
+    EXPECT_EQ(by_code.decisions(), by_encode.decisions());
+    by_code.flush();
+    by_encode.flush();
+    ASSERT_EQ(coded, encoded) << "seed " << seed;
+  }
+}
+
+TEST(MqCoderContract, DecoderCodeIgnoresTheGivenBit) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const MqStream s = mq_stream(seed);
+    std::vector<std::uint8_t> bytes;
+    MqEncoder enc(bytes);
+    T1ContextBank enc_ctx;
+    for (std::size_t i = 0; i < s.bits.size(); ++i) {
+      enc.encode(enc_ctx[s.which[i]], s.bits[i]);
+    }
+    enc.flush();
+
+    // Offered 0, offered 1, and offered the right bit: the same decisions,
+    // through the codeword and 64 synthesized ones past its end.
+    MqDecoder zeros(bytes.data(), bytes.size());
+    MqDecoder ones(bytes.data(), bytes.size());
+    MqDecoder plain(bytes.data(), bytes.size());
+    T1ContextBank zeros_ctx;
+    T1ContextBank ones_ctx;
+    T1ContextBank plain_ctx;
+    for (std::size_t i = 0; i < s.bits.size() + 64; ++i) {
+      const int cx = s.which[i % s.which.size()];
+      const int bit = plain.decode(plain_ctx[cx]);
+      if (i < s.bits.size()) {
+        ASSERT_EQ(bit, s.bits[i]) << "seed " << seed << " symbol " << i;
+      }
+      ASSERT_EQ(zeros.code(zeros_ctx[cx], 0), bit)
+          << "seed " << seed << " symbol " << i;
+      ASSERT_EQ(ones.code(ones_ctx[cx], 1), bit)
+          << "seed " << seed << " symbol " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cj2k::jp2k

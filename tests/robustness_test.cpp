@@ -8,6 +8,8 @@
 #include <bit>
 #include <cmath>
 #include <iterator>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -477,6 +479,26 @@ TEST(QcdGate, FixedPointNeedsSamplesOfAtMostEightBits) {
   EXPECT_NO_THROW(jp2k::validate(Image(16, 16, 3, 16), p));
 }
 
+/// validate, jp2k::encode, CellEncoder::encode and EncodeService all refuse
+/// `p` on `img` with InvalidArgument.
+void expect_refused_up_front(const std::shared_ptr<const Image>& img,
+                             const jp2k::CodingParams& p) {
+  EXPECT_THROW(jp2k::validate(*img, p), InvalidArgument);
+  EXPECT_THROW(jp2k::encode(*img, p), InvalidArgument);
+  cell::MachineConfig mc;
+  mc.num_spes = 8;
+  cellenc::CellEncoder enc(mc);
+  EXPECT_THROW(enc.encode(*img, p), InvalidArgument);
+  service::ServiceOptions sopt;
+  sopt.machine.num_spes = 8;
+  service::EncodeService svc(sopt);
+  service::EncodeJob job;
+  job.image = img;
+  job.params = p;
+  svc.submit(std::move(job));
+  EXPECT_THROW(svc.run(), InvalidArgument);
+}
+
 TEST(QcdGate, OverLargeFixedPointStepIsRefusedUpFront) {
   // At base step 65536 every band's dequantized range overflows the Q13
   // inverse whatever the content, so validate refuses the parameters before
@@ -491,24 +513,55 @@ TEST(QcdGate, OverLargeFixedPointStepIsRefusedUpFront) {
   for (const std::size_t tiles : {1u, 2u}) {
     SCOPED_TRACE(testing::Message() << tiles << "x" << tiles << " tiles");
     p.tiles_x = p.tiles_y = tiles;
-    EXPECT_THROW(jp2k::validate(*img, p), InvalidArgument);
-    EXPECT_THROW(jp2k::encode(*img, p), InvalidArgument);
-    cell::MachineConfig mc;
-    mc.num_spes = 8;
-    cellenc::CellEncoder enc(mc);
-    EXPECT_THROW(enc.encode(*img, p), InvalidArgument);
-    service::ServiceOptions sopt;
-    sopt.machine.num_spes = 8;
-    service::EncodeService svc(sopt);
-    service::EncodeJob job;
-    job.image = img;
-    job.params = p;
-    svc.submit(std::move(job));
-    EXPECT_THROW(svc.run(), InvalidArgument);
+    expect_refused_up_front(img, p);
   }
   // The same encode at a workable step goes through.
   p.base_quant_step = 1.0 / 16;
   EXPECT_NO_THROW(jp2k::encode(*img, p));
+}
+
+TEST(QcdGate, BadAndTinyStepsAreRefusedUpFront) {
+  // A base step that is not a positive finite number is refused on every
+  // path.  On the float 9/7 paths (EBCOT and HT) a step so small that some
+  // quantization index could reach 2^31, past the 31 magnitude bit planes
+  // either block coder codes, is refused too: at 1e-9 such an encode used
+  // to run for minutes on out-of-range float-to-int conversions.
+  const auto img =
+      std::make_shared<const Image>(synth::photographic(96, 80, 3, 5));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Path {
+    const char* name;
+    jp2k::WaveletKind wavelet;
+    bool q13;
+    jp2k::BlockCoder coder;
+  };
+  constexpr Path kPaths[] = {
+      {"float 9/7", jp2k::WaveletKind::kIrreversible97, false,
+       jp2k::BlockCoder::kEbcot},
+      {"HT 9/7", jp2k::WaveletKind::kIrreversible97, false,
+       jp2k::BlockCoder::kHt},
+      {"Q13 9/7", jp2k::WaveletKind::kIrreversible97, true,
+       jp2k::BlockCoder::kEbcot},
+      {"5/3", jp2k::WaveletKind::kReversible53, false,
+       jp2k::BlockCoder::kEbcot},
+  };
+  for (const Path& path : kPaths) {
+    jp2k::CodingParams p;
+    p.wavelet = path.wavelet;
+    p.fixed_point_97 = path.q13;
+    p.block_coder = path.coder;
+    p.levels = 3;
+    const bool lossy = path.wavelet == jp2k::WaveletKind::kIrreversible97;
+    for (const double step : {0.0, -1.0, std::nan(""), kInf, -kInf, 1e-9}) {
+      if (step == 1e-9 && !lossy) continue;  // 5/3 does not quantize
+      SCOPED_TRACE(testing::Message() << path.name << ", step " << step);
+      p.base_quant_step = step;
+      expect_refused_up_front(img, p);
+    }
+    // Small but admitted steps still encode.
+    p.base_quant_step = 1e-5;
+    EXPECT_NO_THROW(jp2k::encode(*img, p)) << path.name;
+  }
 }
 
 /// For an l-level 1-D 9/7 analysis, l = 1..levels: the largest sum of

@@ -4,9 +4,11 @@
 // change to the block coder's internals must keep both digests: the
 // encoder's codeword bytes and every PassInfo field (PCRD slopes are built
 // from trunc_len and the exact bits of dist_reduction), and the decoder's
-// output at full and truncated pass counts.
+// output at full and truncated pass counts.  T1Walk runs the shared pass
+// walk over the same corpus in the decode direction.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "common/sha256.hpp"
 #include "jp2k/t1_decoder.hpp"
 #include "jp2k/t1_encoder.hpp"
+#include "jp2k/t1_walk.hpp"
 
 namespace cj2k::jp2k {
 namespace {
@@ -133,6 +136,72 @@ TEST(T1Pins, DecoderDigest) {
   }
   EXPECT_EQ(common::sha256_hex(record),
             "96125c8ea7cc4929a78d23ed900682632ffd8bb873881b3b9d44aa611c29d400");
+}
+
+/// Stands in for MqDecoder in the walk: ignores the bit the walk offers and
+/// returns the next decision of a recorded stream, noting the first
+/// decision the walk asks for in another context than the recorded one.
+class StreamCoder {
+ public:
+  StreamCoder(const MqContext* bank, const std::vector<T1Decision>& stream)
+      : bank_(bank), stream_(&stream) {}
+
+  int code(const MqContext& cx, int /*d*/) {
+    if (next_ == stream_->size()) {
+      overrun_ = true;
+      return 0;
+    }
+    const T1Decision& dec = (*stream_)[next_];
+    if (first_mismatch_ == kNone && &cx - bank_ != dec.context) {
+      first_mismatch_ = next_;
+    }
+    ++next_;
+    return dec.bit;
+  }
+
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  std::size_t consumed() const { return next_; }
+  bool overrun() const { return overrun_; }
+  std::size_t first_mismatch() const { return first_mismatch_; }
+
+ private:
+  const MqContext* bank_;
+  const std::vector<T1Decision>* stream_;
+  std::size_t next_ = 0;
+  bool overrun_ = false;
+  std::size_t first_mismatch_ = kNone;
+};
+
+TEST(T1Walk, DecodeDirectionRequestsTheEncodersContexts) {
+  std::size_t index = 0;
+  for (const PinCase& c : pin_corpus()) {
+    const Span2d<const Sample> in(c.coeffs.data(), c.w, c.h);
+    const std::vector<T1Decision> stream =
+        t1_decision_stream(in, c.orient, c.opt);
+    T1Flags prescan(c.w, c.h, c.opt.vertically_causal);
+    std::vector<std::uint32_t> mag(prescan.stripes() * kStripeHeight * c.w);
+    const int planes = std::bit_width(block_prescan(in, mag.data(), &prescan));
+
+    // From zero state, as the decoder starts, with every pass run.
+    T1Walk walk(c.w, c.h, c.orient, c.opt);
+    StreamCoder coder(&walk.contexts()[0], stream);
+    walk.code(coder, planes,
+              [](const StreamCoder&, PassType, int, double) { return true; });
+    const std::string where = "case " + std::to_string(index++) + " (" +
+                              std::to_string(c.w) + "x" +
+                              std::to_string(c.h) + ")";
+    ASSERT_EQ(coder.first_mismatch(), StreamCoder::kNone) << where;
+    ASSERT_FALSE(coder.overrun()) << where;
+    ASSERT_EQ(coder.consumed(), stream.size()) << where;
+    ASSERT_EQ(walk.magnitudes(), mag) << where;
+    for (std::size_t y = 0; y < c.h; ++y) {
+      for (std::size_t x = 0; x < c.w; ++x) {
+        ASSERT_EQ(walk.flags().at(y, x) & kFlagSign,
+                  prescan.at(y, x) & kFlagSign)
+            << where << " at (" << x << "," << y << ")";
+      }
+    }
+  }
 }
 
 }  // namespace
