@@ -11,6 +11,7 @@
 #include "decomp/work_queue.hpp"
 #include "jp2k/encoder.hpp"
 #include "jp2k/t2_encoder.hpp"
+#include "jp2k/t2_walk.hpp"
 
 namespace cj2k::cellenc {
 
@@ -24,14 +25,6 @@ constexpr std::uint64_t kHullSegmentBytes = 32;
 /// reset + per-layer freeze writes).
 double reset_cycles_per_block(int layers) {
   return 4.0 + static_cast<double>(layers);
-}
-
-/// Resolution a subband contributes to (0 = LL, else levels - level + 1 —
-/// the inverse of bands_of_resolution in the Tier-2 encoder).
-int resolution_of(const jp2k::Subband& sb, int levels) {
-  return sb.info.orient == jp2k::SubbandOrient::LL
-             ? 0
-             : levels - sb.info.level + 1;
 }
 
 }  // namespace
@@ -85,7 +78,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
     for (std::size_t c = 0; c < tp->components.size(); ++c) {
       for (const auto& sb : tp->components[c].subbands) {
         const auto r = static_cast<std::size_t>(
-            resolution_of(sb, tp->levels));
+            jp2k::resolution_of(sb, tp->levels));
         for (const auto& cb : sb.blocks) {
           block_part.emplace(&cb, base + c * nres + r);
         }
@@ -300,7 +293,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     const jp2k::Tile& tile = *tiles[t];
     const auto nres = static_cast<std::size_t>(tile.levels + 1);
-    const auto add_packet = [&](int l, int r) {
+    jp2k::for_each_packet(tile, tile.layers, [&](int l, int r) {
       for (std::size_t c = 0; c < tile.components.size(); ++c) {
         const std::size_t p =
             part_base + c * nres + static_cast<std::size_t>(r);
@@ -312,16 +305,7 @@ LossyTailResult stage_rate_tail_tiles(cell::Machine& m,
                     .size()) *
             stitch_byte_sec);
       }
-    };
-    if (tile.progression == 1) {  // RLCP
-      for (int r = 0; r <= tile.levels; ++r) {
-        for (int l = 0; l < tile.layers; ++l) add_packet(l, r);
-      }
-    } else {  // LRCP
-      for (int l = 0; l < tile.layers; ++l) {
-        for (int r = 0; r <= tile.levels; ++r) add_packet(l, r);
-      }
-    }
+    });
     part_base += tile.components.size() * nres;
   }
   const auto handoff = decomp::schedule_ordered_handoff(pkt_ready, pkt_cost);

@@ -230,11 +230,6 @@ Image decode(const std::vector<std::uint8_t>& bytes, int max_layers) {
   std::vector<TilePart> parts;
   const StreamHeader hdr = parse_codestream(bytes, parts);
 
-  if (max_layers > 0 && hdr.params.progression != Progression::kLRCP) {
-    throw InvalidArgument(
-        "progressive layer truncation requires LRCP ordering");
-  }
-
   const TileGrid grid =
       TileGrid::from_tile_size(hdr.width, hdr.height, hdr.tile_w, hdr.tile_h);
   if (grid.num_tiles() == 1) {

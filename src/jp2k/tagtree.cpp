@@ -1,7 +1,5 @@
 #include "jp2k/tagtree.hpp"
 
-#include <limits>
-
 #include "common/error.hpp"
 
 namespace cj2k::jp2k {
@@ -27,7 +25,7 @@ void BitWriter::put_bits(std::uint32_t value, int count) {
   for (int i = count - 1; i >= 0; --i) put_bit((value >> i) & 1);
 }
 
-void BitWriter::flush() {
+void BitWriter::align() {
   while (nbits_ != 0) put_bit(0);
   if (!out_.empty() && out_.back() == 0xFF) out_.push_back(0x00);
   limit_ = 8;
@@ -121,91 +119,14 @@ void TagTree::set_value(std::size_t x, std::size_t y, int value) {
 }
 
 void TagTree::finalize() {
-  // Clear non-leaf values to "max", then propagate minima upward.
-  const std::size_t leaves = lw_ * lh_;
-  for (std::size_t i = leaves; i < nodes_.size(); ++i) {
-    nodes_[i].value = std::numeric_limits<int>::max();
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].low = 0;
-    nodes_[i].known = false;
-    const int p = nodes_[i].parent;
-    if (p >= 0 && nodes_[i].value < nodes_[static_cast<std::size_t>(p)].value) {
-      nodes_[static_cast<std::size_t>(p)].value = nodes_[i].value;
+  // Parents follow their children in nodes_, so one forward sweep carries
+  // each subtree's minimum up to the root.
+  for (const Node& n : nodes_) {
+    if (n.parent >= 0) {
+      int& up = nodes_[static_cast<std::size_t>(n.parent)].value;
+      up = std::min(up, n.value);
     }
   }
-}
-
-void TagTree::reset_for_decode() {
-  for (auto& n : nodes_) {
-    n.value = std::numeric_limits<int>::max();
-    n.low = 0;
-    n.known = false;
-  }
-}
-
-void TagTree::encode(BitWriter& bw, std::size_t x, std::size_t y,
-                     int threshold) {
-  // Collect the root-to-leaf path.
-  int path[48];
-  int depth = 0;
-  int idx = static_cast<int>(leaf_index(x, y));
-  while (idx >= 0) {
-    path[depth++] = idx;
-    idx = nodes_[static_cast<std::size_t>(idx)].parent;
-  }
-  int low = 0;
-  for (int i = depth - 1; i >= 0; --i) {
-    Node& node = nodes_[static_cast<std::size_t>(path[i])];
-    if (low > node.low) {
-      node.low = low;
-    } else {
-      low = node.low;
-    }
-    while (low < threshold) {
-      if (low >= node.value) {
-        if (!node.known) {
-          bw.put_bit(1);
-          node.known = true;
-        }
-        break;
-      }
-      bw.put_bit(0);
-      ++low;
-    }
-    node.low = low;
-  }
-}
-
-bool TagTree::decode(BitReader& br, std::size_t x, std::size_t y,
-                     int threshold) {
-  int path[48];
-  int depth = 0;
-  int idx = static_cast<int>(leaf_index(x, y));
-  while (idx >= 0) {
-    path[depth++] = idx;
-    idx = nodes_[static_cast<std::size_t>(idx)].parent;
-  }
-  int low = 0;
-  const Node* leaf = nullptr;
-  for (int i = depth - 1; i >= 0; --i) {
-    Node& node = nodes_[static_cast<std::size_t>(path[i])];
-    if (low > node.low) {
-      node.low = low;
-    } else {
-      low = node.low;
-    }
-    while (low < threshold && low < node.value) {
-      if (br.get_bit()) {
-        node.value = low;
-      } else {
-        ++low;
-      }
-    }
-    node.low = low;
-    leaf = &node;
-  }
-  return leaf->value < threshold;
 }
 
 int TagTree::value(std::size_t x, std::size_t y) const {

@@ -108,6 +108,88 @@ TEST(Fuzz, LossyStreamCorruptionNeverCrashes) {
   SUCCEED();
 }
 
+TEST(Fuzz, PacketStreamMutationsFailAsCodestreamError) {
+  // Damage only the packet data (tile-part headers and bodies between SOD
+  // and the next tile-part), so every mutation reaches Tier-2 and the block
+  // decoders: each decode must either produce a full-size image or fail as
+  // a CodestreamError -- never a bare cj2k::Error, an argument error or a
+  // crash.
+  struct Kind {
+    const char* name;
+    jp2k::CodingParams params;
+  };
+  std::vector<Kind> kinds(5);
+  kinds[0].name = "5/3";
+  kinds[1].name = "9/7, 3 layers";
+  kinds[1].params.wavelet = jp2k::WaveletKind::kIrreversible97;
+  kinds[1].params.layers = 3;
+  kinds[1].params.rate = 0.5;
+  kinds[2].name = "HT";
+  kinds[2].params.block_coder = jp2k::BlockCoder::kHt;
+  kinds[3].name = "5/3, 2x2 tiles";
+  kinds[3].params.tiles_x = 2;
+  kinds[3].params.tiles_y = 2;
+  kinds[4].name = "9/7 Q13, 2 layers";
+  kinds[4].params.wavelet = jp2k::WaveletKind::kIrreversible97;
+  kinds[4].params.fixed_point_97 = true;
+  kinds[4].params.layers = 2;
+  kinds[4].params.rate = 0.5;
+  constexpr std::size_t kW = 96, kH = 80;
+  std::uint64_t seed = 0x7e2;
+  for (Kind& k : kinds) {
+    SCOPED_TRACE(k.name);
+    k.params.levels = 3;
+    const auto good =
+        jp2k::encode(synth::photographic(kW, kH, 3, 61), k.params);
+    std::vector<jp2k::TilePart> parts;
+    (void)jp2k::parse_codestream(good, parts);
+    ASSERT_FALSE(parts.empty());
+    Rng rng(++seed);
+    int decoded = 0, rejected = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      const auto& part = parts[rng.next_below(parts.size())];
+      ASSERT_GT(part.packet_size, 0u);
+      auto bad = good;
+      // One mutation in four lands in the part's first 8 bytes, where its
+      // first packet header sits; the rest anywhere in the packet data.
+      const std::size_t reach = rng.next_below(4) == 0
+                                    ? std::min<std::size_t>(8, part.packet_size)
+                                    : part.packet_size;
+      const std::size_t at = part.packet_offset + rng.next_below(reach);
+      const std::size_t end = part.packet_offset + part.packet_size;
+      switch (rng.next_below(4)) {
+        case 0:  // one bit
+          bad[at] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+          break;
+        case 1:  // an 8-byte burst
+          for (std::size_t i = at; i < std::min(at + 8, end); ++i) {
+            bad[i] = static_cast<std::uint8_t>(rng.next_below(256));
+          }
+          break;
+        case 2:
+          bad[at] = 0x00;
+          break;
+        default:
+          bad[at] = 0xFF;
+          break;
+      }
+      try {
+        const Image out = jp2k::decode(bad);
+        EXPECT_EQ(out.width(), kW);
+        EXPECT_EQ(out.height(), kH);
+        ++decoded;
+      } catch (const CodestreamError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "trial " << trial << " at byte " << at
+                      << ": not a CodestreamError: " << e.what();
+      }
+    }
+    EXPECT_GT(decoded, 0);
+    EXPECT_GT(rejected, 0);
+  }
+}
+
 TEST(ConstantLocalStore, DwtFootprintIsIndependentOfImageHeight) {
   // Paper §2: "the Local Store space requirement becomes constant
   // independent of the data array size."  The DWT kernels must use the

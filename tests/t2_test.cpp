@@ -1,9 +1,12 @@
 // Tier-2 packet encoder/decoder roundtrip on synthetic tiles.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/sha256.hpp"
 #include "jp2k/t2_decoder.hpp"
 #include "jp2k/t2_encoder.hpp"
 #include "jp2k/tagtree.hpp"
@@ -12,6 +15,8 @@ namespace cj2k::jp2k {
 namespace {
 
 /// Builds a synthetic encoded tile with random codewords and pass counts.
+/// Blocks carry 1 to 31 planes, so pass counts reach every field of the
+/// Table B.4 code (up to 91 passes).
 Tile make_tile(std::size_t w, std::size_t h, int levels, std::size_t ncomp,
                std::size_t cb, std::uint64_t seed, double include_prob) {
   Rng rng(seed);
@@ -29,7 +34,7 @@ Tile make_tile(std::size_t w, std::size_t h, int levels, std::size_t ncomp,
       int numbps_band = 0;
       for (auto& blk : sb.blocks) {
         if (rng.next_double() < include_prob) {
-          const int planes = 1 + static_cast<int>(rng.next_below(12));
+          const int planes = 1 + static_cast<int>(rng.next_below(31));
           const int max_passes = 1 + 3 * (planes - 1);
           blk.enc.num_bitplanes = planes;
           blk.included_passes =
@@ -173,7 +178,7 @@ std::vector<std::uint8_t> first_packet(int zero_planes, const char* tail,
   for (int z = 0; z < zero_planes; ++z) put(bw, "0");
   put(bw, "1");
   put(bw, tail);
-  bw.flush();
+  bw.align();
   std::vector<std::uint8_t> out = bw.take();
   out.resize(out.size() + body, 0x11);
   return out;
@@ -239,17 +244,16 @@ TEST(T2Hostile, MorePassesThanBitPlanesIsACodestreamError) {
   std::vector<std::uint8_t> packets = first_packet(0, "0 0 001", 1);
   BitWriter bw;
   put(bw, "1 1 0 0 001");  // non-empty, included again, 1 pass, 1 byte
-  bw.flush();
+  bw.align();
   const std::vector<std::uint8_t> second = bw.take();
   packets.insert(packets.end(), second.begin(), second.end());
   packets.push_back(0x11);
   EXPECT_THROW(decode_packets(packets, one_block_tile(1, 2)), CodestreamError);
 }
 
-TEST(T2Layers, MultiLayerRoundtripWithPassRecords) {
-  // Build a tile whose blocks have genuine pass records and layered
-  // allocations, encode 3 layers, decode, and compare the accumulated
-  // segments.
+/// A tile whose blocks have genuine pass records and a random ascending
+/// allocation over 3 quality layers (possibly empty in early layers).
+Tile make_layered_tile() {
   Rng rng(77);
   Tile tile;
   tile.width = 128;
@@ -279,7 +283,6 @@ TEST(T2Layers, MultiLayerRoundtripWithPassRecords) {
       for (auto& byte : blk.enc.data) {
         byte = static_cast<std::uint8_t>(rng.next_below(255));
       }
-      // Random ascending layer allocation (possibly 0 in early layers).
       const int l0 = static_cast<int>(rng.next_below(total_passes + 1));
       const int l1 =
           l0 + static_cast<int>(rng.next_below(total_passes - l0 + 1));
@@ -291,11 +294,17 @@ TEST(T2Layers, MultiLayerRoundtripWithPassRecords) {
     tc.subbands.push_back(std::move(sb));
   }
   tile.components.push_back(std::move(tc));
+  return tile;
+}
 
+/// Encodes `tile`'s 3 layers, decodes them, and compares the accumulated
+/// segments.
+void layered_roundtrip(const Tile& tile) {
   const auto packets = t2_encode(tile);
 
   Tile back = skeleton_of(tile, 32);
-  back.layers = 3;
+  back.layers = tile.layers;
+  back.progression = tile.progression;
   const std::size_t consumed = t2_decode(packets.data(), packets.size(), back);
   EXPECT_EQ(consumed, packets.size());
 
@@ -311,6 +320,119 @@ TEST(T2Layers, MultiLayerRoundtripWithPassRecords) {
                              a.enc.data.begin()));
       EXPECT_EQ(b.enc.num_bitplanes, a.enc.num_bitplanes);
     }
+  }
+}
+
+TEST(T2Layers, MultiLayerRoundtripWithPassRecords) {
+  layered_roundtrip(make_layered_tile());
+}
+
+TEST(T2Layers, RlcpMultiLayerRoundtrip) {
+  Tile tile = make_layered_tile();
+  tile.progression = 1;
+  layered_roundtrip(tile);
+}
+
+TEST(T2Layers, RlcpTruncationIsRefusedBeforeParsing) {
+  // A valid 2-layer RLCP stream: every resolution's packets carry both
+  // layers, so stopping each resolution after one layer would read the next
+  // resolution from the wrong offset.  t2_decode refuses it as an argument
+  // error, before any packet is read; the full decode is accepted.
+  Tile tile = make_tile(128, 96, 3, 3, 64, 12, 1.0);
+  tile.layers = 2;
+  tile.progression = 1;
+  const auto packets = t2_encode(tile);
+  for (const int max_layers : {0, 2, 3}) {
+    Tile back = skeleton_of(tile, 64);
+    back.layers = 2;
+    back.progression = 1;
+    EXPECT_EQ(t2_decode(packets.data(), packets.size(), back, max_layers),
+              packets.size())
+        << max_layers;
+  }
+  Tile back = skeleton_of(tile, 64);
+  back.layers = 2;
+  back.progression = 1;
+  EXPECT_THROW(t2_decode(packets.data(), packets.size(), back, 1),
+               InvalidArgument);
+  // Refused before parsing: an empty stream gets the same answer.
+  EXPECT_THROW(t2_decode(nullptr, 0, back, 1), InvalidArgument);
+}
+
+// --- Pins ---------------------------------------------------------------
+//
+// SHA-256 digests of t2_encode over the tiles above, in both progression
+// orders.  They pin the packet syntax byte for byte: inclusion and
+// zero-plane tag trees, every pass-count field, Lblock growth, segment
+// lengths, empty packets and the stitch order.
+
+struct T2PinTile {
+  const char* name;
+  Tile tile;
+};
+
+std::vector<T2PinTile> t2_pin_tiles() {
+  std::vector<T2PinTile> out;
+  out.push_back({"small", make_tile(64, 64, 2, 1, 32, 1, 1.0)});
+  out.push_back({"color", make_tile(128, 96, 3, 3, 64, 2, 1.0)});
+  out.push_back({"sparse", make_tile(256, 256, 5, 3, 64, 3, 0.4)});
+  out.push_back({"empty", make_tile(128, 128, 3, 1, 64, 4, 0.0)});
+  out.push_back({"odd", make_tile(97, 61, 3, 2, 32, 5, 0.7)});
+  out.push_back({"tiny", make_tile(64, 64, 1, 1, 8, 6, 0.6)});
+  out.push_back({"layered", make_layered_tile()});
+  Tile two = make_tile(128, 96, 3, 3, 64, 12, 1.0);
+  two.layers = 2;
+  out.push_back({"two_layer", std::move(two)});
+  return out;
+}
+
+struct T2Pin {
+  const char* name;
+  const char* lrcp;
+  const char* rlcp;
+};
+
+// With one layer both orders send the same packets, so the two digests
+// agree; the layered tiles tell them apart.
+constexpr T2Pin kT2Pins[] = {
+    {"small",
+     "a147138e1d4ee42e2a1c8c92778e50ee0d14c656e6015ef5d0f7f64cf7d4f352",
+     "a147138e1d4ee42e2a1c8c92778e50ee0d14c656e6015ef5d0f7f64cf7d4f352"},
+    {"color",
+     "f67fa19e4a578660308844e955c6b293e275338a5867b1ca34d6f5e0d1e1729c",
+     "f67fa19e4a578660308844e955c6b293e275338a5867b1ca34d6f5e0d1e1729c"},
+    {"sparse",
+     "bf98f3bfacd349ea1fa216e8d43a5f51d6c9bcafc92fb7f569f8232712b70a1e",
+     "bf98f3bfacd349ea1fa216e8d43a5f51d6c9bcafc92fb7f569f8232712b70a1e"},
+    {"empty",
+     "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+     "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"},
+    {"odd",
+     "8e65f758a7dfbbe0ba8d254dc59dbff4f6fcc4b5136580b88905ff5222a0b362",
+     "8e65f758a7dfbbe0ba8d254dc59dbff4f6fcc4b5136580b88905ff5222a0b362"},
+    {"tiny",
+     "cc41a42885228fe3b807f27e20f801d2927fdc666f23e144cc05b36d6248e8fc",
+     "cc41a42885228fe3b807f27e20f801d2927fdc666f23e144cc05b36d6248e8fc"},
+    {"layered",
+     "6626d14ce457a152215b3c9fddc86b38e6a135f65c92163bba1d89441751f7c4",
+     "7ec8efd4d405b7640d3ff72564ab18392dc9c9ff6e3411a7c0d3a07dc0181056"},
+    {"two_layer",
+     "714cad357695ae726bed8d7f2f730983b9eb87a75f0ffbd82605d56d175efa37",
+     "7ee68b05ab074085c27a3bd8ff3dea3700eca53580b2d75bd5706a2fef67a139"},
+};
+
+TEST(T2Pins, EncoderDigests) {
+  auto tiles = t2_pin_tiles();
+  ASSERT_EQ(tiles.size(), std::size(kT2Pins));
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    ASSERT_STREQ(tiles[i].name, kT2Pins[i].name);
+    Tile& tile = tiles[i].tile;
+    tile.progression = 0;
+    const std::string lrcp = common::sha256_hex(t2_encode(tile));
+    tile.progression = 1;
+    const std::string rlcp = common::sha256_hex(t2_encode(tile));
+    EXPECT_EQ(lrcp, kT2Pins[i].lrcp) << tiles[i].name << " LRCP";
+    EXPECT_EQ(rlcp, kT2Pins[i].rlcp) << tiles[i].name << " RLCP";
   }
 }
 

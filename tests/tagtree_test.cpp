@@ -18,7 +18,7 @@ TEST(BitIo, RoundtripRandomBits) {
 
     BitWriter bw;
     for (int b : bits) bw.put_bit(b);
-    bw.flush();
+    bw.align();
     const auto bytes = bw.take();
 
     BitReader br(bytes.data(), bytes.size());
@@ -34,7 +34,7 @@ TEST(BitIo, StuffsZeroAfterFF) {
   BitWriter bw;
   // 16 one-bits would produce 0xFF 0xFF without stuffing.
   for (int i = 0; i < 16; ++i) bw.put_bit(1);
-  bw.flush();
+  bw.align();
   const auto& bytes = bw.bytes();
   for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
     if (bytes[i] == 0xFF) {
@@ -49,7 +49,7 @@ TEST(BitIo, StuffsZeroAfterFF) {
 TEST(BitIo, FlushNeverEndsOnFF) {
   BitWriter bw;
   for (int i = 0; i < 8; ++i) bw.put_bit(1);
-  bw.flush();
+  bw.align();
   EXPECT_NE(bw.bytes().back(), 0xFF);
 }
 
@@ -58,7 +58,7 @@ TEST(BitIo, MultiBitValues) {
   bw.put_bits(0b101101, 6);
   bw.put_bits(0xFFFF, 16);
   bw.put_bits(3, 2);
-  bw.flush();
+  bw.align();
   const auto bytes = bw.take();
   BitReader br(bytes.data(), bytes.size());
   EXPECT_EQ(br.get_bits(6), 0b101101u);
@@ -70,9 +70,9 @@ TEST(BitIo, ConcatenatedSegmentsAlignCorrectly) {
   // Two flushed segments back to back (like consecutive packet headers).
   BitWriter w1, w2;
   for (int i = 0; i < 13; ++i) w1.put_bit(1);
-  w1.flush();
+  w1.align();
   for (int i = 0; i < 5; ++i) w2.put_bit(i & 1);
-  w2.flush();
+  w2.align();
   auto bytes = w1.take();
   const auto b2 = w2.take();
   bytes.insert(bytes.end(), b2.begin(), b2.end());
@@ -106,19 +106,18 @@ void tagtree_roundtrip(std::size_t w, std::size_t h, std::uint64_t seed,
   BitWriter bw;
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
-      enc.encode(bw, x, y, values[y * w + x] + 1);
+      enc.code(bw, x, y, values[y * w + x] + 1);
     }
   }
-  bw.flush();
+  bw.align();
   const auto bytes = bw.take();
 
   TagTree dec(w, h);
-  dec.reset_for_decode();
   BitReader br(bytes.data(), bytes.size());
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
       int t = 0;
-      while (!dec.decode(br, x, y, t + 1)) ++t;
+      while (!dec.code(br, x, y, t + 1)) ++t;
       ASSERT_EQ(t, values[y * w + x]) << w << "x" << h << " (" << x << ","
                                       << y << ")";
     }
@@ -146,17 +145,16 @@ TEST(TagTree, InclusionStyleThresholdQueries) {
   enc.finalize();
   BitWriter bw;
   for (std::size_t y = 0; y < h; ++y) {
-    for (std::size_t x = 0; x < w; ++x) enc.encode(bw, x, y, 1);
+    for (std::size_t x = 0; x < w; ++x) enc.code(bw, x, y, 1);
   }
-  bw.flush();
+  bw.align();
   const auto bytes = bw.take();
 
   TagTree dec(w, h);
-  dec.reset_for_decode();
   BitReader br(bytes.data(), bytes.size());
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
-      EXPECT_EQ(dec.decode(br, x, y, 1), incl[y * w + x] < 1);
+      EXPECT_EQ(dec.code(br, x, y, 1), incl[y * w + x] < 1);
     }
   }
 }
@@ -173,8 +171,8 @@ TEST(TagTree, MinimumPropagatesToRoot) {
   // Coding the minimum leaf takes few bits; a max leaf in the same subtree
   // must re-use the root information.  Just verify codability.
   BitWriter bw;
-  t.encode(bw, 2, 3, 2);
-  bw.flush();
+  t.code(bw, 2, 3, 2);
+  bw.align();
   EXPECT_LE(bw.bytes().size(), 2u);
 }
 
